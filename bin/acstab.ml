@@ -74,11 +74,12 @@ let fail_run ~file (failure : Tool.Pipeline.failure) =
    stderr — the gate is also a reporter. *)
 let load_deck lint file =
   match
-    Tool.Pipeline.load ~policy:(policy_of lint) (Tool.Pipeline.Deck_file file)
+    Tool.Pipeline.load ~cache:(Tool.Cache.global ()) ~policy:(policy_of lint)
+      (Tool.Pipeline.Deck_file file)
   with
   | Ok loaded ->
-    if not lint.no_lint then
-      print_findings ~file Format.err_formatter loaded.Tool.Pipeline.findings;
+    Option.iter (print_findings ~file Format.err_formatter)
+      loaded.Tool.Pipeline.findings;
     loaded
   | Error failure -> fail_run ~file failure
 
@@ -255,18 +256,14 @@ let manifest_arg =
                  compare two with $(b,acstab diff).")
 
 (* Solver backend selector, mirrored by the serve protocol's "backend"
-   member. Auto picks the compiled plan above the dense cutoff; kernel
-   additionally flattens it into the straight-line factor/solve program
-   (bit-identical numbers, fastest sweeps). *)
+   member: the compiled per-circuit kernel, or the dense oracle. *)
 let backend_arg =
   Arg.(value
-       & opt
-           (enum
-              [ ("auto", `Auto); ("dense", `Dense); ("sparse", `Sparse);
-                ("plan", `Plan); ("kernel", `Kernel) ])
-           `Auto
+       & opt (enum [ ("auto", `Auto); ("dense", `Dense) ]) `Auto
        & info [ "backend" ] ~docv:"NAME"
-           ~doc:"Linear-solver path: $(b,auto) (default), $(b,dense),                  $(b,sparse), $(b,plan), or $(b,kernel) (the compiled                  per-circuit solve kernel; identical numbers to                  $(b,plan), fastest dense sweeps).")
+           ~doc:"Linear-solver path: $(b,auto) (default; the compiled \
+                 per-circuit solve kernel) or $(b,dense) (the dense LU \
+                 oracle, for cross-checking).")
 
 (* Tri-state parallel selector: the default Auto heuristic parallelises
    when the workload's volume warrants the pool; the flags force it. *)
@@ -387,7 +384,7 @@ let run_cmd =
     let findings =
       List.map
         (fun f -> Format.asprintf "%a" (Lint.Rule.pp_finding ~file) f)
-        (Lint.Runner.run circ)
+        (Tool.Pipeline.lint_findings loaded)
     in
     let w0 = Unix.gettimeofday () and c0 = Tool.Pipeline.cpu_seconds () in
     (* One manifest helper serves the crash report (results-free: the
@@ -1027,7 +1024,7 @@ let serve_cmd =
     Arg.(value & opt int Tool.Cache.default_capacity
          & info [ "cache-capacity" ] ~docv:"N"
              ~doc:"Entries kept per cache family (operating points, \
-                   solve plans, result sets, signal-flow reports) \
+                   solve kernels, result sets, signal-flow reports) \
                    before LRU eviction.")
   in
   let slow_ms =

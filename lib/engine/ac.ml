@@ -99,9 +99,9 @@ let factor_at ?gmin ~op ~omega mna = Cmat.lu_factor (matrix_of ?gmin ~op ~omega 
 
 let mag_inf v = Array.fold_left (fun acc z -> Float.max acc (Cx.mag z)) 0. v
 
-(* Sampled health for the dense per-point path; mirrors
-   [Ac_plan.solve_many]'s recording so node grades do not depend on the
-   backend chosen. *)
+(* Sampled health for the dense per-point path; mirrors the kernel's
+   sampled recording so node grades do not depend on the backend
+   chosen. *)
 let dense_health ?meter a f ~x ~b =
   let rcond = Cond.rcond (Cond.dense a f) in
   let growth = Cmat.pivot_growth a f in
@@ -112,15 +112,9 @@ let dense_health ?meter a f ~x ~b =
   in
   Health.record ?meter ~rcond ~growth ~residual ()
 
-let run_compiled ?op ?(gmin = 1e-12) ?backend ~sweep mna =
+let run_compiled ?op ?(gmin = 1e-12) ?(backend = `Auto) ~sweep mna =
   let op = match op with Some op -> op | None -> Dcop.solve mna in
   let freqs = Sweep.points sweep in
-  let backend =
-    match backend with
-    | Some b -> b
-    | None ->
-      if mna.Mna.size <= Ac_plan.dense_cutoff then `Dense else `Plan
-  in
   (* The independent-source excitation carries no frequency dependence
      (AC magnitudes and phases only), so one RHS serves the sweep. *)
   let b0 = Array.make mna.Mna.size Cx.zero in
@@ -139,28 +133,18 @@ let run_compiled ?op ?(gmin = 1e-12) ?backend ~sweep mna =
           if Health.tick () then dense_health a lu ~x ~b:b0;
           x)
         freqs
-    | (`Plan | `Kernel) as b ->
+    | `Auto ->
       let omega_ref =
         if Array.length freqs = 0 then 2e6 *. Float.pi
         else
           2. *. Float.pi
           *. sqrt (freqs.(0) *. freqs.(Array.length freqs - 1))
       in
-      let plan = Ac_plan.compile ~gmin ~omega_ref ~op mna in
-      (match b with
-       | `Plan ->
-         Array.map
-           (fun f -> Ac_plan.solve plan ~omega:(2. *. Float.pi *. f) b0)
-           freqs
-       | `Kernel ->
-         (* Flattened program over the same plan; values bit-identical
-            to [`Plan]. *)
-         let kern = Kernel.compile plan in
-         Array.map
-           (fun f ->
-             (Kernel.solve_many kern ~omega:(2. *. Float.pi *. f)
-                [| b0 |]).(0))
-           freqs)
+      let kern = Kernel.compile (Ac_plan.compile ~gmin ~omega_ref ~op mna) in
+      Array.map
+        (fun f ->
+          (Kernel.solve_many kern ~omega:(2. *. Float.pi *. f) [| b0 |]).(0))
+        freqs
   in
   { mna; op; freqs; solutions }
 

@@ -12,22 +12,18 @@ type result = {
 }
 
 val run :
-  ?dc_options:Dcop.options -> ?gmin:float ->
-  ?backend:[ `Dense | `Plan | `Kernel ] ->
+  ?dc_options:Dcop.options -> ?gmin:float -> ?backend:[ `Auto | `Dense ] ->
   sweep:Numerics.Sweep.t -> Circuit.Netlist.t -> result
 (** Compile, find the operating point, and sweep. Raises
     {!Dcop.No_convergence} / {!Mna.Compile_error} like its parts. *)
 
 val run_compiled :
-  ?op:Dcop.t -> ?gmin:float -> ?backend:[ `Dense | `Plan | `Kernel ] ->
+  ?op:Dcop.t -> ?gmin:float -> ?backend:[ `Auto | `Dense ] ->
   sweep:Numerics.Sweep.t -> Mna.t -> result
 (** Sweep a pre-compiled circuit, reusing a known operating point. The
-    default backend compiles an {!Ac_plan} (one symbolic analysis per
-    sweep, one numeric refactorisation per point) for systems above
-    {!Ac_plan.dense_cutoff} unknowns and keeps the dense per-point LU
-    below it; [`Dense] forces the oracle path, [`Kernel] further
-    flattens the plan into the {!Kernel} straight-line program
-    (bit-identical values to [`Plan]). *)
+    default [`Auto] compiles one {!Ac_plan} symbolic analysis and its
+    {!Kernel} factor/solve program per sweep, whatever the circuit size;
+    [`Dense] forces the dense per-point LU oracle. *)
 
 val matrix_at :
   Mna.t -> Linearize.prim list -> gmin:float -> w:float -> Numerics.Cmat.t ->
@@ -52,8 +48,8 @@ val dense_health :
   x:Complex.t array -> b:Complex.t array -> unit
 (** Record one sampled dense factorisation's health (rcond estimate,
     pivot growth, scaled residual of [x] against [b]); mirrors the
-    recording done inside {!Ac_plan.solve_many} so node grades do not
-    depend on the backend. *)
+    {!Kernel}'s sampled recording so node grades do not depend on the
+    backend. *)
 
 val v : result -> Circuit.Netlist.node -> Waveform.Freq.t
 (** Node-voltage response across the sweep. Raises [Invalid_argument]

@@ -9,37 +9,17 @@ open Numerics
    rows, gmin) and C every reactive coefficient (capacitances, negated
    inductances and mutuals). Both share one sparsity pattern, and that
    pattern does not depend on frequency. Compiling the pattern once per
-   sweep turns each frequency point into
-     - an O(nnz) numeric fill of the shared CSC skeleton, and
-     - one numeric refactorisation along the frozen symbolic analysis,
-   with no dense matrix and no per-point triplet harvesting. One factor
-   then serves every probed node at that frequency via a multi-RHS batch
-   solve. *)
+   sweep and running one symbolic analysis on it leaves each frequency
+   point an O(nnz) numeric fill plus a refactorisation along the frozen
+   schedule — which [Kernel] compiles into a straight-line program. *)
 
-type totals = {
-  symbolic : int;
-  numeric : int;
-  fallback : int;
-  rhs : int;
-}
-
-(* Process-wide counters, registered with [Obs.Counter] so traces,
-   [--metrics] summaries and diagnostics reports carry the same values
-   the tests assert (atomic: the Domain-parallel sweep paths bump them
-   concurrently). Tests and the benchmark assert the "one symbolic
-   analysis per sweep, one numeric factorisation per frequency point"
-   contract from deltas of these. *)
+(* Registered with [Obs.Counter] so traces, [--metrics] summaries and
+   diagnostics reports carry the value the tests assert ("one symbolic
+   analysis per run"); atomic, since pooled requests compile
+   concurrently. *)
 let n_symbolic = Obs.Counter.make "acplan.symbolic"
-let n_numeric = Obs.Counter.make "acplan.numeric"
-let n_fallback = Obs.Counter.make "acplan.fallback"
-let n_rhs = Obs.Counter.make "acplan.rhs"
-let rhs_batch_max = Obs.Counter.make "acplan.rhs_batch_max"
 
-let totals () =
-  { symbolic = Obs.Counter.value n_symbolic;
-    numeric = Obs.Counter.value n_numeric;
-    fallback = Obs.Counter.value n_fallback;
-    rhs = Obs.Counter.value n_rhs }
+let analyses () = Obs.Counter.value n_symbolic
 
 type t = {
   size : int;
@@ -53,15 +33,8 @@ type t = {
 let size t = t.size
 let nnz t = t.colptr.(t.size)
 
-(* Below this unknown count the dense path's simplicity wins over plan
-   compilation; above it the plan is both the fast path and the default.
-   (The crossover is shallow: even ~15-unknown systems refactor faster
-   than they dense-LU, so the cutoff just keeps toy circuits on the
-   simple oracle path.) *)
-let dense_cutoff = 10
-
 (* Relative pivot floor below which a frozen pivot order is declared
-   stale for this frequency and the plan falls back to a fresh pivoting
+   stale for this frequency and the kernel falls back to a fresh pivoting
    factorisation: bounds element growth (and thus the solve error) at
    ~1e6 while keeping fallbacks rare. *)
 let pivot_tol = 1e-6
@@ -188,57 +161,6 @@ let matrix_at t ~omega =
   Scmat.of_csc ~rows:t.size ~cols:t.size ~colptr:t.colptr
     ~rowidx:t.rowidx values
 
-let factor_of t a =
-  let f =
-    try Scmat.refactor ~pivot_tol t.sym a
-    with Sparse.Singular _ ->
-      (* Frozen pivots inadequate at this frequency: re-pivot here. The
-         fresh analysis is used for this point only — the shared plan
-         stays immutable so Domain-parallel sweeps need no locking. *)
-      Obs.Counter.incr n_fallback;
-      Obs.Counter.incr n_symbolic;
-      snd (Scmat.analyze a)
-  in
-  Obs.Counter.incr n_numeric;
-  f
-
-(* Sampled health of a factorisation: a Hager/Higham rcond estimate
-   (a handful of extra solves on the factor we already hold) plus
-   element growth; the residual is only known to callers that solve. *)
-let factor_health ?meter a f =
-  let rcond = Cond.rcond (Cond.sparse a f) in
-  let growth = Scmat.pivot_growth a f in
-  Health.record ?meter ~rcond ~growth ~residual:0. ()
-
-let factor_at ?health t ~omega =
-  let a = matrix_at t ~omega in
-  let f = factor_of t a in
-  if Health.tick () then factor_health ?meter:health a f;
-  f
-
-let mag_inf v =
-  Array.fold_left (fun acc z -> Float.max acc (Cx.mag z)) 0. v
-
-let solve_many ?health t ~omega bs =
-  let a = matrix_at t ~omega in
-  let f = factor_of t a in
-  Obs.Counter.add n_rhs (Array.length bs);
-  Obs.Counter.record_max rhs_batch_max (Array.length bs);
-  let xs = Scmat.lu_solve_many f bs in
-  if Array.length bs > 0 && Health.tick () then begin
-    let rcond = Cond.rcond (Cond.sparse a f) in
-    let growth = Scmat.pivot_growth a f in
-    let residual =
-      Health.relative_residual ~norm1:(Scmat.norm1 a)
-        ~residual_inf:(Scmat.residual_inf a xs.(0) bs.(0))
-        ~x_inf:(mag_inf xs.(0)) ~b_inf:(mag_inf bs.(0))
-    in
-    Health.record ?meter:health ~rcond ~growth ~residual ()
-  end;
-  xs
-
-let solve ?health t ~omega b = (solve_many ?health t ~omega [| b |]).(0)
-
 (* ---- kernel-compiler exports ---- *)
 
 (* The shared skeleton and frozen analysis, handed out uncopied so
@@ -247,22 +169,3 @@ let solve ?health t ~omega b = (solve_many ?health t ~omega [| b |]).(0)
    Domain-parallel sweep workers precisely because they are immutable. *)
 let skeleton t = (t.colptr, t.rowidx, t.gvals, t.cvals)
 let symbolic t = t.sym
-
-(* Out-of-band health probe for compiled kernels: the kernel's hot loop
-   keeps no Scmat factor around, so sampled points rebuild one here to
-   price rcond/growth/residual. No counters move — this is telemetry,
-   not part of the factorisation budget the tests assert. *)
-let point_health ?meter t ~omega ~x ~b =
-  let a = matrix_at t ~omega in
-  let f =
-    try Scmat.refactor ~pivot_tol t.sym a
-    with Sparse.Singular _ -> snd (Scmat.analyze a)
-  in
-  let rcond = Cond.rcond (Cond.sparse a f) in
-  let growth = Scmat.pivot_growth a f in
-  let residual =
-    Health.relative_residual ~norm1:(Scmat.norm1 a)
-      ~residual_inf:(Scmat.residual_inf a x b)
-      ~x_inf:(mag_inf x) ~b_inf:(mag_inf b)
-  in
-  Health.record ?meter ~rcond ~growth ~residual ()

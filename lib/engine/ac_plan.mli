@@ -1,13 +1,12 @@
-(** Compiled AC solve plan: the fast path of the sweep pipeline.
+(** Compiled AC solve plan: the symbolic front end of {!Kernel}.
 
     Compiles {!Mna.elems} plus the linearised DC-operating-point
     primitives once into a frequency-parameterised sparse skeleton — a
     constant conductance part [G] and a reactive part [C] sharing one
     precomputed CSC pattern, so the system at angular frequency [w] is
-    [G + jwC]. Each frequency point of a sweep then costs an O(nnz)
-    numeric fill plus one numeric refactorisation along a symbolic
-    analysis computed once per plan; one factor serves every probed node
-    at that frequency through a multi-RHS batch solve.
+    [G + jwC] — and runs the one symbolic analysis (pivot order and fill
+    pattern) that {!Kernel.compile} flattens into the per-point
+    factor/solve program. The plan itself solves nothing.
 
     Plans are immutable after {!compile}, so one plan may be shared by
     Domain-parallel sweep workers without locking. *)
@@ -19,73 +18,34 @@ val compile : ?gmin:float -> ?omega_ref:float -> op:Dcop.t -> Mna.t -> t
     [gmin] (default 1e-12) is added on node diagonals exactly as in the
     dense path. [omega_ref] (default 2*pi*1e6) seeds the pivot order;
     any in-band frequency works — frequencies where the frozen order
-    goes numerically stale re-pivot automatically. *)
+    goes numerically stale re-pivot automatically in the kernel. *)
 
 val size : t -> int
 val nnz : t -> int
-
-val dense_cutoff : int
-(** Unknown count at or below which callers should prefer the dense
-    oracle path over plan compilation. *)
 
 val matrix_at : t -> omega:float -> Numerics.Scmat.t
 (** Numeric fill [G + jwC] of the shared pattern (O(nnz); fresh value
     array per call, pattern arrays shared). *)
 
-val factor_at : ?health:Health.meter -> t -> omega:float -> Numerics.Scmat.factor
-(** One numeric refactorisation at [omega], falling back to a fresh
-    pivoting factorisation when the frozen pivot order is numerically
-    inadequate at this frequency (counted in {!totals}). With [health],
-    sampled factorisations (see {!Health.tick}) record an rcond estimate
-    and pivot growth. *)
-
-val solve_many :
-  ?health:Health.meter ->
-  t -> omega:float -> Complex.t array array -> Complex.t array array
-(** One factorisation, many right-hand sides: the batched probing
-    solve. [solve_many t ~omega bs] factors once and solves every
-    excitation of [bs]. With [health], sampled points additionally
-    record a scaled residual of the first right-hand side. *)
-
-val solve :
-  ?health:Health.meter -> t -> omega:float -> Complex.t array ->
-  Complex.t array
-
 val pivot_tol : float
-(** Relative pivot floor under which a frozen pivot order is declared
-    stale for a frequency point ({!factor_at} then falls back to a fresh
-    pivoting factorisation). Exported so {!Engine.Kernel} applies the
-    identical stale-pivot test on its flattened schedule. *)
+(** Relative pivot floor under which the frozen pivot order is declared
+    stale for a frequency point; {!Kernel} then falls back to a fresh
+    pivoting factorisation. Refactoring {!matrix_at} along {!symbolic}
+    with [Numerics.Scmat.refactor ~pivot_tol] is exactly the operation
+    the kernel replays. *)
 
 val skeleton : t -> int array * int array * float array * float array
 (** [(colptr, rowidx, gvals, cvals)] — the shared CSC skeleton behind
     the plan, uncopied. Read-only: mutating any of these breaks every
-    worker sharing the plan. Intended for {!Engine.Kernel.compile}. *)
+    worker sharing the plan. Intended for {!Kernel.compile}. *)
 
 val symbolic : t -> Numerics.Scmat.symbolic
 (** The frozen one-per-plan symbolic analysis (same sharing caveat as
     {!skeleton}). *)
 
-val point_health :
-  ?meter:Health.meter -> t -> omega:float -> x:Complex.t array ->
-  b:Complex.t array -> unit
-(** Out-of-band health probe for sampled kernel points: rebuilds a
-    factor at [omega] to record rcond/growth plus the scaled residual of
-    solution [x] against right-hand side [b]. Moves no {!totals}
-    counters. *)
-
-type totals = {
-  symbolic : int;  (** symbolic analyses (one per plan + fallbacks) *)
-  numeric : int;   (** numeric factorisations (one per frequency point) *)
-  fallback : int;  (** points where frozen pivots were re-derived *)
-  rhs : int;       (** right-hand sides solved *)
-}
-
-val totals : unit -> totals
-(** Process-wide counters since start-up; take deltas around a sweep to
-    assert its factorisation budget (the benchmark and tests do). The
-    counters live in the [Obs.Counter] registry as [acplan.symbolic],
-    [acplan.numeric], [acplan.fallback] and [acplan.rhs] (plus the
-    high-water mark [acplan.rhs_batch_max]), so traces, [--metrics]
-    output and diagnostics reports carry the same values. Note that
-    [Obs.Counter.reset] zeroes them. *)
+val analyses : unit -> int
+(** Symbolic analyses since start-up, one per {!compile}; take deltas
+    around a run to assert its budget (the benchmark and tests do). The
+    count lives in the [Obs.Counter] registry as [acplan.symbolic], so
+    traces, [--metrics] output and diagnostics reports carry the same
+    value. Note that [Obs.Counter.reset] zeroes it. *)

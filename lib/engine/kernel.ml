@@ -1,22 +1,21 @@
 open Numerics
 
-(* Compiled per-circuit solve kernel (ROADMAP item 3).
+(* Compiled per-circuit solve kernel: the only compiled solve path.
 
-   [Ac_plan] already amortises the symbolic analysis: one DFS + pivot
-   search per sweep, then a numeric refactorisation per frequency point.
-   But that refactorisation still *interprets* the frozen pattern — per
-   point it allocates fresh column buffers and a boxed [Complex.t] value
-   array, walks CSC metadata through bounds-checked lookups, and pays a
-   per-right-hand-side copy in the batched solve. This module treats the
-   symbolic analysis as a compilation target instead: [compile] flattens
-   the elimination schedule into straight-line index arrays once per
-   circuit, and each frequency point then runs a fixed factor/solve
-   program over preallocated unboxed float planes — no per-point CSC
-   traversal, no closures, no allocation on the hot loop.
+   [Ac_plan] runs the symbolic analysis once per circuit, and
+   interpreting that frozen pattern point by point would allocate fresh
+   column buffers and a boxed [Complex.t] value array, walk CSC metadata
+   through bounds-checked lookups, and pay a per-right-hand-side copy in
+   the batched solve. This module treats the symbolic analysis as a
+   compilation target instead: [compile] flattens the elimination
+   schedule into straight-line index arrays once per circuit, and each
+   frequency point then runs a fixed factor/solve program over
+   preallocated unboxed float planes — no per-point CSC traversal, no
+   closures, no allocation on the hot loop.
 
-   Bit-identity with the plan backend is a hard contract (the bench and
-   the qcheck suite assert it): every arithmetic step below replicates
-   the exact float operation sequence of [Scmat.refactor] /
+   Bit-identity with the interpreted Scmat path is a hard contract (the
+   bench and the qcheck suite assert it): every arithmetic step below
+   replicates the exact float operation sequence of [Scmat.refactor] /
    [Scmat.lu_solve] / [Scmat.lu_solve_many] over the stdlib [Complex]
    field — Smith's division, [Float.hypot] magnitudes, the
    multiply-operand order of the saxpy updates, the [re = 0 && im = 0]
@@ -36,6 +35,7 @@ type t = {
   cvals : float array;
   (* flattened elimination schedule *)
   rowperm : int array;     (* pivot position -> original row *)
+  pinv : int array;        (* original row -> pivot position *)
   l_ptr : int array;       (* L columns, keyed by pivot column *)
   l_idx : int array;       (* original row indices *)
   u_ptr : int array;       (* U columns: deps ascending, diagonal last *)
@@ -105,6 +105,7 @@ let compile plan =
   Obs.Counter.incr n_compiles;
   let k =
     { plan; n; colptr; rowidx; gvals; cvals; rowperm;
+      pinv = sch.Scmat.sched_pinv;
       l_ptr; l_idx; u_ptr; u_col; u_row; lnnz; unnz }
   in
   Obs.Span.leave "kernel.compile"
@@ -175,8 +176,8 @@ exception Stale
 (* Numeric factorisation along the flattened schedule: the straight-line
    replay of [Scmat.refactor] with the frozen pivot order. Returns
    [false] (work vector cleared) when the frozen pivots go numerically
-   stale at this frequency — the caller then falls back to a fresh
-   pivoting factorisation exactly like [Ac_plan.factor_of]. *)
+   stale at this frequency (where [Scmat.refactor] raises [Singular]) —
+   the caller then falls back to a fresh pivoting factorisation. *)
 let factor ws ~omega =
   let k = ws.k in
   let n = k.n in
@@ -357,19 +358,118 @@ let solve_batch ws =
 
 let mag_inf v = Array.fold_left (fun acc z -> Float.max acc (Cx.mag z)) 0. v
 
+(* ---- sampled health on the kernel's own factor ----
+
+   Sampled points price the factorisation they just ran: a Hager/Higham
+   rcond estimate, pivot growth and the scaled residual of the first
+   solution. The single-RHS solves below are [Scmat.lu_solve] and
+   [Scmat.lu_solve_t] replayed on the flattened schedule over unboxed
+   work planes, so the recorded values are those the interpreted Scmat
+   factor would give, without refactoring through it: at one sampled
+   point in 16, that refactorisation and its boxed solves would cost as
+   much as several kernel points. *)
+
+(* A x = b: forward on L in pivot order, backward on U. *)
+let solve1 ws b =
+  let k = ws.k in
+  let n = k.n in
+  let wr = Array.map (fun z -> z.Cx.re) b
+  and wi = Array.map (fun z -> z.Cx.im) b in
+  for j = 0 to n - 1 do
+    let pr = k.rowperm.(j) in
+    let yr = wr.(pr) and yi = wi.(pr) in
+    if not (yr = 0. && yi = 0.) then
+      for t = k.l_ptr.(j) to k.l_ptr.(j + 1) - 1 do
+        let r = k.l_idx.(t) and lr = ws.l_vre.(t) and li = ws.l_vim.(t) in
+        wr.(r) <- wr.(r) -. ((lr *. yr) -. (li *. yi));
+        wi.(r) <- wi.(r) -. ((lr *. yi) +. (li *. yr))
+      done
+  done;
+  let x = Array.make n Cx.zero in
+  for j = n - 1 downto 0 do
+    let d = k.u_ptr.(j + 1) - 1 in
+    let pr = k.rowperm.(j) in
+    cdiv ws wr.(pr) wi.(pr) ws.u_vre.(d) ws.u_vim.(d);
+    let xr = ws.q.(0) and xi = ws.q.(1) in
+    x.(j) <- Cx.make xr xi;
+    if not (xr = 0. && xi = 0.) then
+      for q = k.u_ptr.(j) to d - 1 do
+        let i = k.u_row.(q) and ur = ws.u_vre.(q) and ui = ws.u_vim.(q) in
+        wr.(i) <- wr.(i) -. ((ur *. xr) -. (ui *. xi));
+        wi.(i) <- wi.(i) -. ((ur *. xi) +. (ui *. xr))
+      done
+  done;
+  x
+
+(* A^T x = b = U^T L^T P: forward on U^T, backward on L^T, un-permute. *)
+let solve1_t ws b =
+  let k = ws.k in
+  let n = k.n in
+  let wr = Array.make n 0. and wi = Array.make n 0. in
+  for j = 0 to n - 1 do
+    let d = k.u_ptr.(j + 1) - 1 in
+    let ar = ref b.(j).Cx.re and ai = ref b.(j).Cx.im in
+    for q = k.u_ptr.(j) to d - 1 do
+      let c = k.u_col.(q) and ur = ws.u_vre.(q) and ui = ws.u_vim.(q) in
+      ar := !ar -. ((ur *. wr.(c)) -. (ui *. wi.(c)));
+      ai := !ai -. ((ur *. wi.(c)) +. (ui *. wr.(c)))
+    done;
+    cdiv ws !ar !ai ws.u_vre.(d) ws.u_vim.(d);
+    wr.(j) <- ws.q.(0);
+    wi.(j) <- ws.q.(1)
+  done;
+  for j = n - 1 downto 0 do
+    let ar = ref wr.(j) and ai = ref wi.(j) in
+    for t = k.l_ptr.(j) to k.l_ptr.(j + 1) - 1 do
+      let c = k.pinv.(k.l_idx.(t)) in
+      let lr = ws.l_vre.(t) and li = ws.l_vim.(t) in
+      ar := !ar -. ((lr *. wr.(c)) -. (li *. wi.(c)));
+      ai := !ai -. ((lr *. wi.(c)) +. (li *. wr.(c)))
+    done;
+    wr.(j) <- !ar;
+    wi.(j) <- !ai
+  done;
+  let x = Array.make n Cx.zero in
+  for j = 0 to n - 1 do
+    x.(k.rowperm.(j)) <- Cx.make wr.(j) wi.(j)
+  done;
+  x
+
+(* Record this point's health: [x] solves [b] at [omega]. *)
+let point_health ?meter ws ~omega ~x ~b =
+  let k = ws.k in
+  let a = Ac_plan.matrix_at k.plan ~omega in
+  let norm1 = Scmat.norm1 a in
+  let amax = ref 0. and umax = ref 0. in
+  Array.iteri
+    (fun p g -> amax := Float.max !amax (Float.hypot g (omega *. k.cvals.(p))))
+    k.gvals;
+  for q = 0 to k.unnz - 1 do
+    umax := Float.max !umax (Float.hypot ws.u_vre.(q) ws.u_vim.(q))
+  done;
+  let cond =
+    Cond.est_1norm ~n:k.n ~norm1 ~solve:(solve1 ws) ~solve_t:(solve1_t ws)
+  in
+  Health.record ?meter ~rcond:(Cond.rcond cond)
+    ~growth:(if !amax = 0. then 0. else !umax /. !amax)
+    ~residual:
+      (Health.relative_residual ~norm1
+         ~residual_inf:(Scmat.residual_inf a x b)
+         ~x_inf:(mag_inf x) ~b_inf:(mag_inf b))
+    ()
+
 (* One frequency point: flat factor + batched substitution, falling back
-   to a fresh pivoting factorisation (the exact [Ac_plan.factor_of]
-   fallback values) when the frozen order is stale here. Health is
-   sampled on the same [Health.tick] cadence as the plan backend. *)
+   to a fresh pivoting factorisation ([Scmat.analyze]) when the frozen
+   order is stale here. Health is sampled on the same [Health.tick]
+   cadence as the dense oracle. *)
 let solve_point ?health ws ~omega =
   if factor ws ~omega then begin
     solve_batch ws;
     if ws.m > 0 && Health.tick () then begin
-      let n = ws.k.n in
       let x =
-        Array.init n (fun i -> Cx.make ws.s_re.(0).(i) ws.s_im.(0).(i))
+        Array.init ws.k.n (fun i -> Cx.make ws.s_re.(0).(i) ws.s_im.(0).(i))
       in
-      Ac_plan.point_health ?meter:health ws.k.plan ~omega ~x ~b:ws.rhs.(0)
+      point_health ?meter:health ws ~omega ~x ~b:ws.rhs.(0)
     end;
     `Flat
   end

@@ -1,22 +1,24 @@
-(** Compiled per-circuit solve kernels: the sweep hot path, specialized.
+(** Compiled per-circuit solve kernels: the sweep hot path.
 
-    {!Ac_plan} amortises the symbolic analysis but still interprets the
-    sparse factorisation point by point — per-point column buffers, a
-    boxed value array, bounds-checked pattern walks, per-RHS copies.
-    {!compile} flattens one plan's frozen elimination schedule (pivot
-    order, fill pattern, update order) into preallocated index arrays
-    once per circuit; every frequency point then runs a straight-line,
-    allocation-free factor/solve program over unboxed float planes, and
-    {!run} batches whole chunks of the sweep through one workspace.
+    {!Ac_plan} runs the symbolic analysis once per circuit. {!compile}
+    flattens that frozen elimination schedule (pivot order, fill
+    pattern, update order) into preallocated index arrays; every
+    frequency point then runs a straight-line, allocation-free
+    factor/solve program over unboxed float planes, and {!run} batches
+    whole chunks of the sweep through one workspace. This is the only
+    compiled solve path; the dense per-point LU stays beside it as the
+    oracle.
 
-    The kernel is bit-identical to the [`Plan] backend: it replays the
-    exact float operation sequence of [Scmat.refactor] and the batched
-    solves (Smith's division, hypot magnitudes, sparsity skips, the
-    single-RHS back-substitution form), and frequencies where the frozen
-    pivot order goes numerically stale fall back to the same fresh
-    pivoting factorisation the plan uses. Kernels are immutable after
-    {!compile} and safe to share across Domain-parallel workers; all
-    mutable state lives in per-worker {!workspace}s. *)
+    The kernel replays the exact float operation sequence of
+    [Numerics.Scmat.refactor ~pivot_tol:Ac_plan.pivot_tol] on
+    {!Ac_plan.matrix_at} along {!Ac_plan.symbolic}, followed by
+    [Numerics.Scmat.lu_solve_many] (Smith's division, hypot magnitudes,
+    sparsity skips, the single-RHS back-substitution form), so its
+    results equal that Scmat replay bit for bit; frequencies where the
+    frozen pivot order goes numerically stale fall back to a fresh
+    pivoting factorisation ([Numerics.Scmat.analyze]). Kernels are
+    immutable after {!compile} and safe to share across Domain-parallel
+    workers; all mutable state lives in per-worker {!workspace}s. *)
 
 type t
 
@@ -47,14 +49,13 @@ val run :
     solution [q] to [outs.(q).(fk)]. Chunks over disjoint ranges write
     disjoint cells, so parallel execution is bit-identical to
     sequential. With [health], sampled points (see {!Health.tick})
-    record rcond/growth/residual like the plan backend. *)
+    record rcond/growth/residual like the dense oracle. *)
 
 val solve_many :
   ?health:Health.meter -> t -> omega:float -> Complex.t array array ->
   Complex.t array array
-(** Full solutions at one frequency (the {!Ac} backend and the
-    equivalence tests); same values as [Ac_plan.solve_many] on the same
-    plan, bit for bit. *)
+(** Full solutions at one frequency (the {!Ac} sweep and the
+    equivalence tests); bit for bit the Scmat replay described above. *)
 
 type totals = {
   compiles : int;   (** kernel compilations (warm cache repeat: zero) *)

@@ -25,7 +25,7 @@ type ctx = {
   static : Staticanalysis.Report.t Lazy.t;
 }
 
-let make_ctx circ =
+let make_ctx ?report circ =
   let mna =
     (* Elaboration can fail for reasons lint itself reports (missing
        models, zero resistors, unknown controlling sources); rules that
@@ -36,7 +36,12 @@ let make_ctx circ =
   in
   (* Lazy: forced the first time a graph-powered rule runs, shared by
      all of them within one lint pass. *)
-  { circ; mna; static = lazy (Staticanalysis.Report.analyze circ) }
+  let static =
+    match report with
+    | Some r -> r
+    | None -> lazy (Staticanalysis.Report.analyze circ)
+  in
+  { circ; mna; static }
 
 type t = {
   id : string;

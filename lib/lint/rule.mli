@@ -30,15 +30,20 @@ val finding :
     failed (e.g. a missing model card); rules needing the compiled system
     then simply skip. [static] is the signal-flow report — lazy, so a
     pass with no graph-powered rule never builds the graph, and one pass
-    builds it at most once. *)
+    builds it at most once (or never, when the caller hands one in). *)
 type ctx = {
   circ : Circuit.Netlist.t;
   mna : Engine.Mna.t option;
   static : Staticanalysis.Report.t Lazy.t;
 }
 
-val make_ctx : Circuit.Netlist.t -> ctx
-(** Compile the circuit when possible; never raises. *)
+val make_ctx :
+  ?report:Staticanalysis.Report.t Lazy.t -> Circuit.Netlist.t -> ctx
+(** Compile the circuit when possible; never raises. [report] is the
+    circuit's static report (default bounds) as its owner caches it —
+    forced, like the default, only inside a graph rule, so a report that
+    raises is a crashed-rule finding, not a crashed pass; without it the
+    graph rules build one. *)
 
 type t = {
   id : string;               (** stable identifier, also the CLI name *)

@@ -22,8 +22,11 @@ let compare_finding (a : Rule.finding) (b : Rule.finding) =
     in
     if c <> 0 then c else compare a.rule_id b.rule_id
 
-let run ?(config = default) circ =
-  let ctx = Rule.make_ctx circ in
+let n_runs = Obs.Counter.make "lint.runs"
+
+let run ?(config = default) ?report circ =
+  Obs.Counter.incr n_runs;
+  let ctx = Rule.make_ctx ?report circ in
   Rules.all
   |> List.concat_map (fun (r : Rule.t) ->
          if not (enabled config r) then []

@@ -8,7 +8,7 @@ type options = {
   min_peak : float;
   dc_options : Engine.Dcop.options;
   parallel : [ `Auto | `Seq | `Par ];
-  backend : [ `Auto | `Dense | `Sparse | `Plan | `Kernel ];
+  backend : [ `Auto | `Dense ];
 }
 
 let default_options =
@@ -21,36 +21,32 @@ let default_options =
     parallel = `Auto;
     backend = `Auto }
 
-let probe_backend opts =
-  match opts.backend with
-  | `Auto -> None
-  | (`Dense | `Sparse | `Plan | `Kernel) as b -> Some b
-
 (* One compiled plan for the whole run mode: the coarse scan and every
    zoom window share the circuit's MNA pattern, so they share its
-   symbolic analysis too. [None] on the dense paths. *)
+   symbolic analysis too. [None] on the dense oracle path. *)
 let shared_plan opts probe =
-  let plan_backed =
-    match opts.backend with
-    | `Plan | `Sparse | `Kernel -> true
-    | `Dense -> false
-    | `Auto ->
-      probe.Probe.mna.Engine.Mna.size > Engine.Ac_plan.dense_cutoff
-  in
-  if plan_backed then Some (Probe.plan probe ~sweep:opts.sweep) else None
+  match opts.backend with
+  | `Dense -> None
+  | `Auto -> Some (Probe.plan probe ~sweep:opts.sweep)
 
 (* One compiled kernel per run mode, for the same reason: coarse scan
    and zoom windows share the plan's symbolic analysis, hence also its
-   flattened kernel program. [None] unless the kernel backend is
-   selected. *)
-let shared_kernel opts plan =
-  match (opts.backend, plan) with
-  | `Kernel, Some p -> Some (Engine.Kernel.compile p)
-  | _ -> None
+   flattened kernel program. *)
+let shared_kernel _opts plan = Option.map Engine.Kernel.compile plan
 
-let response_many opts ?plan ?kernel ?health probe nodes ~sweep =
-  Probe.response_many ?backend:(probe_backend opts)
-    ~parallel:opts.parallel ?plan ?kernel ?health probe ~sweep nodes
+(* The kernel a run mode hands to every sweep: the caller's, else one
+   compiled from the caller's plan or a fresh one. *)
+let run_kernel opts ?plan ?kernel probe =
+  match (opts.backend, kernel) with
+  | `Dense, _ -> None
+  | `Auto, Some _ -> kernel
+  | `Auto, None ->
+    shared_kernel opts
+      (match plan with Some _ -> plan | None -> shared_plan opts probe)
+
+let response_many opts ?kernel ?health probe nodes ~sweep =
+  Probe.response_many ~backend:opts.backend ~parallel:opts.parallel ?kernel
+    ?health probe ~sweep nodes
 
 type quality = Good | Degraded | Suspect
 
@@ -193,10 +189,10 @@ type refine_job = {
    and re-probing each merged window once with a multi-RHS
    {!Probe.response_many} call shares the per-point factorisation across
    every node of the loop instead of re-probing one node at a time. The
-   zoom windows additionally reuse [plan] — the coarse sweep's compiled
-   solve plan — so the whole refinement pass performs zero further
-   symbolic analyses. *)
-let refine_batched opts ?plan ?kernel ?health probe jobs =
+   zoom windows additionally reuse [kernel] — the coarse sweep's
+   compiled solve program — so the whole refinement pass performs zero
+   further symbolic analyses. *)
+let refine_batched opts ?kernel ?health probe jobs =
   let fmin, fmax = sweep_bounds opts.sweep in
   let sorted =
     List.sort
@@ -235,7 +231,7 @@ let refine_batched opts ?plan ?kernel ?health probe jobs =
         Obs.Counter.incr zoom_windows_counter;
         let t0 = Obs.Span.enter () in
         let responses =
-          response_many opts ?plan ?kernel ?health probe nodes ~sweep:zoom
+          response_many opts ?kernel ?health probe nodes ~sweep:zoom
         in
         Obs.Span.leave "analysis.zoom"
           ~args:
@@ -252,7 +248,7 @@ let refine_batched opts ?plan ?kernel ?health probe jobs =
 
 (* Coarse analysis of every live net, then one batched refinement pass
    over all (node, peak) jobs at once. *)
-let analyze_many opts ?plan ?kernel ?health probe entries =
+let analyze_many opts ?kernel ?health probe entries =
   let t_classify = Obs.Span.enter () in
   let coarse =
     List.filter_map
@@ -287,7 +283,7 @@ let analyze_many opts ?plan ?kernel ?health probe entries =
       List.iter
         (fun (j, refined) -> Hashtbl.replace table (j.rj_node, j.rj_slot)
             refined)
-        (refine_batched opts ?plan ?kernel ?health probe jobs);
+        (refine_batched opts ?kernel ?health probe jobs);
       fun node slot coarse_pk ->
         match Hashtbl.find_opt table (node, slot) with
         | Some refined -> refined
@@ -301,8 +297,8 @@ let analyze_many opts ?plan ?kernel ?health probe entries =
         quality = grade health degraded })
     coarse
 
-let analyze_node opts ?plan ?kernel ?health probe node response =
-  match analyze_many opts ?plan ?kernel ?health probe [ (node, response) ] with
+let analyze_node opts ?kernel ?health probe node response =
+  match analyze_many opts ?kernel ?health probe [ (node, response) ] with
   | [ r ] -> r
   | _ ->
     failwith
@@ -313,26 +309,19 @@ let analyze_node opts ?plan ?kernel ?health probe node response =
 
 let single_node_prepared ?(options = default_options) ?plan ?kernel probe
     node =
-  let plan =
-    match plan with Some _ as p -> p | None -> shared_plan options probe
-  in
-  let kernel =
-    match kernel with
-    | Some _ as k -> k
-    | None -> shared_kernel options plan
-  in
+  let kernel = run_kernel options ?plan ?kernel probe in
   let health = Engine.Health.meter () in
   let t0 = Obs.Span.enter () in
   let w =
     match
-      response_many options ?plan ?kernel ~health probe [ node ]
+      response_many options ?kernel ~health probe [ node ]
         ~sweep:options.sweep
     with
     | [ (_, w) ] -> w
     | _ -> assert false
   in
   Obs.Span.leave "analysis.coarse" ~args:[ ("nets", 1) ] t0;
-  analyze_node options ?plan ?kernel ~health probe node w
+  analyze_node options ?kernel ~health probe node w
 
 let all_nodes_prepared ?(options = default_options) ?nodes ?plan ?kernel
     probe =
@@ -342,21 +331,14 @@ let all_nodes_prepared ?(options = default_options) ?nodes ?plan ?kernel
     | None ->
       Array.to_list (Circuit.Topology.nodes probe.Probe.mna.Engine.Mna.topo)
   in
-  let plan =
-    match plan with Some _ as p -> p | None -> shared_plan options probe
-  in
-  let kernel =
-    match kernel with
-    | Some _ as k -> k
-    | None -> shared_kernel options plan
-  in
+  let kernel = run_kernel options ?plan ?kernel probe in
   let health = Engine.Health.meter () in
   let t0 = Obs.Span.enter () in
   let responses =
-    response_many options ?plan ?kernel ~health probe all ~sweep:options.sweep
+    response_many options ?kernel ~health probe all ~sweep:options.sweep
   in
   Obs.Span.leave "analysis.coarse" ~args:[ ("nets", List.length all) ] t0;
-  analyze_many options ?plan ?kernel ~health probe responses
+  analyze_many options ?kernel ~health probe responses
 
 let single_node ?(options = default_options) circ node =
   let probe = Probe.prepare ~dc_options:options.dc_options circ in

@@ -14,10 +14,11 @@
     {!Probe.response_many} call per frequency group, sharing each
     per-point factorisation across every node of the loop.
 
-    On the plan-backed solver paths a run mode compiles exactly one
-    {!Engine.Ac_plan} and reuses it for the coarse scan and every zoom
-    window — one symbolic analysis for an entire all-nodes run,
-    refinement included ({!Engine.Ac_plan.totals} counters verify it). *)
+    On the default solve path a run mode compiles exactly one
+    {!Engine.Ac_plan} and its {!Engine.Kernel} and reuses them for the
+    coarse scan and every zoom window — one symbolic analysis for an
+    entire all-nodes run, refinement included (the
+    {!Engine.Ac_plan.analyses} counter verifies it). *)
 
 type options = {
   sweep : Numerics.Sweep.t;      (** coarse sweep (default 1 kHz - 1 GHz,
@@ -36,15 +37,12 @@ type options = {
       the sweep's volume clears {!Probe.auto_threshold}; [`Par] forces
       pooled execution, [`Seq] forces sequential. Results are
       bit-identical in every mode. *)
-  backend : [ `Auto | `Dense | `Sparse | `Plan | `Kernel ];
+  backend : [ `Auto | `Dense ];
   (** linear-solver path handed to {!Probe.response_many}. [`Auto] (the
-      default) lets the probe layer pick: the compiled AC plan above
-      {!Engine.Ac_plan.dense_cutoff} unknowns, dense below. The explicit
-      values force one path — useful for cross-checking backends against
-      each other on the same design. [`Kernel] compiles the plan one
-      step further into the flattened {!Engine.Kernel} factor/solve
-      program (bit-identical results to [`Plan], compiled once per run
-      and shared by the coarse scan and every zoom window). *)
+      default, at every circuit size) compiles one {!Engine.Kernel}
+      per run, shared by the coarse scan and every zoom window;
+      [`Dense] forces the dense oracle — useful for cross-checking the
+      compiled path on the same design. *)
 }
 
 val default_options : options
@@ -99,7 +97,8 @@ val single_node_prepared :
     holding one — the fingerprint-keyed [Tool.Cache] across repeated
     requests on the same deck — pays zero further symbolic analyses;
     [kernel] does the same for the compiled kernel program (see
-    {!shared_kernel}) on the [`Kernel] backend. *)
+    {!shared_kernel}) and makes [plan] unnecessary. Both are ignored
+    under the [`Dense] backend. *)
 
 val all_nodes_prepared :
   ?options:options -> ?nodes:Circuit.Netlist.node list ->
@@ -107,17 +106,14 @@ val all_nodes_prepared :
   node_result list
 
 val shared_plan : options -> Probe.t -> Engine.Ac_plan.t option
-(** The plan a run mode would compile for these options: [Some] exactly
-    when the configured backend is plan-backed ([`Plan], [`Sparse],
-    [`Kernel], or [`Auto] above {!Engine.Ac_plan.dense_cutoff}
-    unknowns), [None] on the dense paths. Compiling costs one symbolic
+(** The plan a run mode would compile for these options: [Some] unless
+    the configured backend is [`Dense]. Compiling costs one symbolic
     analysis; the result is valid for any sweep of the same prepared
     circuit. *)
 
 val shared_kernel :
   options -> Engine.Ac_plan.t option -> Engine.Kernel.t option
-(** The kernel a run mode would compile from that plan: [Some] exactly
-    when the configured backend is [`Kernel] and a plan exists.
-    Compilation is cheap (array flattening, no factorisation) and the
-    kernel, like the plan, is valid for any sweep of the same prepared
-    circuit. *)
+(** The kernel a run mode would compile from that plan: [Some] whenever
+    a plan exists. Compilation is cheap (array flattening, no
+    factorisation) and the kernel, like the plan, is valid for any sweep
+    of the same prepared circuit. *)

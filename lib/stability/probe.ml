@@ -58,23 +58,9 @@ let auto_decision ~unknowns ~points ~nets =
   && (not (Parallel.Pool.in_worker ()))
   && estimated_work ~unknowns ~points ~nets >= auto_threshold
 
-let response_many ?(gmin = 1e-12) ?backend ?(parallel = `Auto) ?plan:shared
-    ?kernel:shared_kernel ?health t ~sweep nodes =
+let response_many ?(gmin = 1e-12) ?(backend = `Auto) ?(parallel = `Auto)
+    ?plan:shared ?kernel:shared_kernel ?health t ~sweep nodes =
   let size = t.mna.Engine.Mna.size in
-  let backend =
-    match (backend, shared_kernel, shared) with
-    | Some b, _, _ -> b
-    | None, Some _, _ ->
-      (* A caller handing in a compiled kernel wants it used. *)
-      `Kernel
-    | None, None, Some _ ->
-      (* A caller handing in a compiled plan wants it used. *)
-      `Plan
-    | None, None, None ->
-      (* The compiled plan is the fast path for anything non-trivial;
-         tiny systems keep the dense oracle's simplicity. *)
-      if size <= Engine.Ac_plan.dense_cutoff then `Dense else `Plan
-  in
   let indexed =
     List.map
       (fun n ->
@@ -85,152 +71,96 @@ let response_many ?(gmin = 1e-12) ?backend ?(parallel = `Auto) ?plan:shared
       nodes
   in
   let freqs = Sweep.points sweep in
-  let per_node = List.map (fun (n, i) -> (n, i, Array.make
-                                            (Array.length freqs) Cx.zero))
-                   indexed in
-  (* One plan compilation — and thus exactly one symbolic analysis — per
-     sweep, unless the caller shares one across sweeps (the refinement
-     pass re-probes many zoom windows of one circuit: same MNA pattern,
-     same symbolic analysis, zero recompilation). Sparse and plan
-     backends both fill the plan's O(nnz) skeleton instead of stamping a
-     dense matrix and harvesting triplets. *)
-  let plan =
-    match backend with
-    | `Dense -> None
-    | `Sparse | `Plan | `Kernel ->
-      (match shared with
-       | Some p -> Some p
-       | None ->
-         (match shared_kernel with
-          | Some _ when backend = `Kernel ->
-            (* The kernel carries its plan; no need for another. *)
-            None
-          | _ ->
-            Some
-              (Engine.Ac_plan.compile ~gmin ~omega_ref:(omega_ref_of freqs)
-                 ~op:t.op t.mna)))
-  in
-  (* The kernel backend compiles the plan one step further: the frozen
-     elimination schedule flattened into a straight-line factor/solve
-     program (cheap — no factorisation — and fingerprint-cached by
-     Tool.Cache when the pipeline drives this). *)
+  let npts = Array.length freqs in
+  let sel = Array.of_list (List.map snd indexed) in
+  let outs = Array.map (fun _ -> Array.make npts Cx.zero) sel in
+  (* One kernel — and thus exactly one symbolic analysis — per sweep,
+     unless the caller shares one across sweeps (the refinement pass
+     re-probes many zoom windows of one circuit: same MNA pattern, same
+     symbolic analysis, zero recompilation). The kernel carries its
+     plan, so a caller's kernel needs no plan beside it. *)
   let kernel =
     match backend with
-    | `Kernel ->
-      (match shared_kernel with
-       | Some k -> Some k
-       | None -> Some (Engine.Kernel.compile (Option.get plan)))
-    | `Dense | `Sparse | `Plan -> None
+    | `Dense -> None
+    | `Auto ->
+      Some
+        (match (shared_kernel, shared) with
+         | Some k, _ -> k
+         | None, Some p -> Engine.Kernel.compile p
+         | None, None ->
+           Engine.Kernel.compile
+             (Engine.Ac_plan.compile ~gmin ~omega_ref:(omega_ref_of freqs)
+                ~op:t.op t.mna))
   in
   (* The probe excitations carry no frequency dependence; build the
-     multi-RHS batch once per sweep for every backend (solves never
-     mutate their RHS, and the batch is only read afterwards, so sharing
-     it across domains is safe). *)
-  let bs =
-    Array.of_list (List.map (fun (_, i, _) -> excitation size i) per_node)
-  in
-  let run_point fk =
-    let omega = 2. *. Float.pi *. freqs.(fk) in
-    match (backend, plan) with
-    | `Plan, Some plan ->
-      (* One numeric refactorisation, then every probed node as one
-         multi-RHS batch against the same factor. Health recording
-         happens inside [solve_many], sampled — the per-point body
-         itself stays instrumentation-free. *)
-      let xs = Engine.Ac_plan.solve_many ?health plan ~omega bs in
-      List.iteri (fun q (_, i, out) -> out.(fk) <- xs.(q).(i)) per_node
-    | `Sparse, Some plan ->
-      (* Fresh pivoting factorisation per point (no symbolic reuse);
-         kept as the mid-way reference between dense and plan. *)
-      let a = Engine.Ac_plan.matrix_at plan ~omega in
-      let lu = Scmat.lu_factor a in
-      List.iteri
-        (fun q (_, i, out) -> out.(fk) <- (Scmat.lu_solve lu bs.(q)).(i))
-        per_node;
-      if Engine.Health.tick () && Array.length bs > 0 then begin
-        let x = Scmat.lu_solve lu bs.(0) in
-        let mag_inf v =
-          Array.fold_left (fun acc z -> Float.max acc (Cx.mag z)) 0. v
-        in
-        Engine.Health.record ?meter:health
-          ~rcond:(Cond.rcond (Cond.sparse a lu))
-          ~growth:(Scmat.pivot_growth a lu)
-          ~residual:
-            (Engine.Health.relative_residual ~norm1:(Scmat.norm1 a)
-               ~residual_inf:(Scmat.residual_inf a x bs.(0))
-               ~x_inf:(mag_inf x) ~b_inf:(mag_inf bs.(0)))
-          ()
-      end
-    | `Kernel, Some _ ->
-      (* Kernel sweeps never route through the per-point body — they run
-         chunked below. *)
-      assert false
-    | `Dense, _ | _, None ->
-      let a = Engine.Ac.matrix_of ~gmin ~op:t.op ~omega t.mna in
-      let lu = Cmat.lu_factor a in
-      List.iteri
-        (fun q (_, i, out) -> out.(fk) <- (Cmat.lu_solve lu bs.(q)).(i))
-        per_node;
-      if Engine.Health.tick () && Array.length bs > 0 then
-        Engine.Ac.dense_health ?meter:health a lu
-          ~x:(Cmat.lu_solve lu bs.(0)) ~b:bs.(0)
-  in
+     multi-RHS batch once per sweep (solves never mutate their RHS, and
+     the batch is only read afterwards, so sharing it across domains is
+     safe). *)
+  let bs = Array.map (excitation size) sel in
   let go_parallel =
     match parallel with
     | `Seq -> false
     | `Par -> true
     | `Auto ->
-      auto_decision ~unknowns:size ~points:(Array.length freqs)
-        ~nets:(List.length nodes)
+      auto_decision ~unknowns:size ~points:npts ~nets:(List.length nodes)
   in
   (* Frequency points are independent, and each point writes disjoint
-     cells of the pre-allocated result arrays — the shared plan is
-     immutable after compilation, so pooled execution is bit-identical
-     to sequential. Chunks are dealt dynamically over the persistent
-     pool: no per-sweep domain spawns, and stealing rebalances the
-     tail. The span wraps the whole sweep, never the per-point body:
-     [run_point] must stay allocation-free of instrumentation. *)
+     cells of the pre-allocated result arrays — kernels are immutable
+     after compilation, so pooled execution is bit-identical to
+     sequential. Work is dealt dynamically over the persistent pool: no
+     per-sweep domain spawns, and stealing rebalances the tail. The span
+     wraps the whole sweep, never the per-point body, which must stay
+     allocation-free of instrumentation. *)
+  let run_all n body =
+    if go_parallel then Parallel.Pool.parallel_for ~n body
+    else
+      for k = 0 to n - 1 do
+        body k
+      done
+  in
   Obs.Counter.incr sweeps_counter;
   if go_parallel then Obs.Counter.incr sweeps_par_counter;
-  Obs.Counter.add points_counter (Array.length freqs);
+  Obs.Counter.add points_counter npts;
   let t0 = Obs.Span.enter () in
   (match kernel with
    | Some kern ->
-     (* Kernel execution is chunked: one workspace advances [chunk]
-        consecutive points per invocation, so workspace setup amortises
-        and the pool deals whole chunks. Chunks write disjoint cells of
-        the preallocated outputs, and chunk boundaries do not enter the
-        arithmetic — parallel stays bit-identical to sequential. *)
-     let sel = Array.of_list (List.map (fun (_, i, _) -> i) per_node) in
-     let outs = Array.of_list (List.map (fun (_, _, out) -> out) per_node) in
-     let npts = Array.length freqs in
+     (* Chunked: one workspace advances [chunk] consecutive points per
+        invocation and the pool deals whole chunks, each on a workspace
+        of its own; a sequential sweep keeps one workspace throughout
+        (on wide batches each one is a large major-heap block). Neither
+        chunk boundaries nor workspace reuse enter the arithmetic. *)
      let cp = Engine.Kernel.chunk in
-     let nchunks = (npts + cp - 1) / cp in
-     let run_chunk ck =
-       let lo = ck * cp in
-       let hi = Int.min npts (lo + cp) in
-       let ws = Engine.Kernel.workspace kern ~rhs:bs in
-       Engine.Kernel.run ?health ws ~freqs ~lo ~hi ~sel ~outs
+     let seq_ws =
+       if go_parallel then None else Some (Engine.Kernel.workspace kern ~rhs:bs)
      in
-     if go_parallel then Parallel.Pool.parallel_for ~n:nchunks run_chunk
-     else
-       for ck = 0 to nchunks - 1 do
-         run_chunk ck
-       done
+     run_all ((npts + cp - 1) / cp) (fun ck ->
+         let lo = ck * cp in
+         let ws =
+           match seq_ws with
+           | Some ws -> ws
+           | None -> Engine.Kernel.workspace kern ~rhs:bs
+         in
+         Engine.Kernel.run ?health ws ~freqs ~lo ~hi:(Int.min npts (lo + cp))
+           ~sel ~outs)
    | None ->
-     if go_parallel then
-       Parallel.Pool.parallel_for ~n:(Array.length freqs) run_point
-     else
-       for fk = 0 to Array.length freqs - 1 do
-         run_point fk
-       done);
+     (* The dense oracle: stamp, factor and solve every point afresh. *)
+     run_all npts (fun fk ->
+         let omega = 2. *. Float.pi *. freqs.(fk) in
+         let a = Engine.Ac.matrix_of ~gmin ~op:t.op ~omega t.mna in
+         let lu = Cmat.lu_factor a in
+         Array.iteri
+           (fun q i -> outs.(q).(fk) <- (Cmat.lu_solve lu bs.(q)).(i))
+           sel;
+         if Engine.Health.tick () && Array.length bs > 0 then
+           Engine.Ac.dense_health ?meter:health a lu
+             ~x:(Cmat.lu_solve lu bs.(0)) ~b:bs.(0)));
   Obs.Span.leave "probe.sweep"
     ~args:
-      [ ("points", Array.length freqs);
+      [ ("points", npts);
         ("nets", List.length nodes);
         ("parallel", if go_parallel then 1 else 0) ]
     t0;
-  List.map (fun (n, _, h) -> (n, Waveform.Freq.make freqs h)) per_node
+  List.mapi (fun q (n, _) -> (n, Waveform.Freq.make freqs outs.(q))) indexed
 
 let response ?gmin t ~sweep node =
   match response_many ?gmin t ~sweep [ node ] with

@@ -28,11 +28,12 @@ val response :
 (** Driving-point transimpedance of one net across a sweep. *)
 
 val plan : ?gmin:float -> t -> sweep:Numerics.Sweep.t -> Engine.Ac_plan.t
-(** Compile the probe's MNA system into an AC solve plan seeded at the
-    sweep's mid-band frequency. The plan is valid for {e any} sweep of
-    the same circuit — hand it to several {!response_many} calls (a
-    coarse scan plus its zoom refinements) to pay for exactly one
-    symbolic analysis in total. *)
+(** Compile the probe's MNA system into an AC solve plan (the kernel's
+    symbolic analysis) seeded at the sweep's mid-band frequency. The
+    plan is valid for {e any} sweep of the same circuit — compile it
+    into one {!Engine.Kernel} and hand that to several {!response_many}
+    calls (a coarse scan plus its zoom refinements) to pay for exactly
+    one symbolic analysis in total. *)
 
 val auto_threshold : int
 (** Arithmetic volume (unknowns x points x probed nets) above which
@@ -54,28 +55,21 @@ val auto_decision : unknowns:int -> points:int -> nets:int -> bool
     manifest or [--metrics] snapshot records which mode really ran. *)
 
 val response_many :
-  ?gmin:float -> ?backend:[ `Dense | `Sparse | `Plan | `Kernel ] ->
+  ?gmin:float -> ?backend:[ `Auto | `Dense ] ->
   ?parallel:[ `Auto | `Seq | `Par ] -> ?plan:Engine.Ac_plan.t ->
   ?kernel:Engine.Kernel.t -> ?health:Engine.Health.meter ->
   t -> sweep:Numerics.Sweep.t -> Circuit.Netlist.node list ->
   (Circuit.Netlist.node * Numerics.Waveform.Freq.t) list
 (** Shared-factorisation probing of many nets.
 
-    [`Plan] — the default above {!Engine.Ac_plan.dense_cutoff}
-    unknowns — compiles the sweep once into an {!Engine.Ac_plan}: one
-    symbolic analysis per sweep, one O(nnz) numeric fill and
-    refactorisation per frequency point, and all probed nets solved as
-    one multi-RHS batch per point. [`Sparse] keeps a fresh
-    Gilbert-Peierls factorisation per point over the same compiled
-    skeleton; [`Dense] (the default for tiny systems) is the oracle
-    path. [`Kernel] compiles the plan one step further into an
-    {!Engine.Kernel} — the flattened, allocation-free factor/solve
-    program — and advances the sweep in chunks of
-    {!Engine.Kernel.chunk} points per kernel invocation; its results
-    are bit-identical to [`Plan]. Passing [plan] (see {!val:plan})
-    skips compilation entirely and implies the [`Plan] backend unless
-    [backend] overrides it; passing [kernel] likewise implies
-    [`Kernel] and skips both compilations.
+    [`Auto] (the default, at every circuit size) runs the sweep through
+    one compiled {!Engine.Kernel}: one symbolic analysis per sweep, then
+    per frequency point one flattened, allocation-free refactorisation
+    and all probed nets solved as one multi-RHS batch, advanced in
+    chunks of {!Engine.Kernel.chunk} points per kernel invocation.
+    Passing [kernel] skips both compilations; passing [plan] (see
+    {!val:plan}) skips the symbolic analysis. [`Dense] ignores both and
+    runs the oracle: a fresh dense LU per point.
 
     [parallel] spreads the independent frequency points over the
     persistent {!Parallel.Pool} in dynamically stolen chunks (the

@@ -2,18 +2,17 @@
 
    The paper's tool is a resident environment: a designer's session
    re-runs the same analysis many times with small edits, so the
-   operating point, the compiled solve plan and whole result sets are
+   operating point, the compiled solve kernel and whole result sets are
    worth keeping between requests. Keys are strings built by
    [Pipeline] from the deck's SHA-256 fingerprint plus the options in
    force — an edited deck or a changed option is a different key, which
    is all the invalidation a content-addressed cache needs.
 
-   Five families, one per pipeline stage:
+   Four families, one per pipeline stage:
    - [op]     : prepared probes (MNA compile + DC operating point)
-   - [plan]   : compiled {!Engine.Ac_plan} symbolic analyses ([None]
-                when the options select a dense backend)
-   - [kernel] : compiled {!Engine.Kernel} solve programs ([None] unless
-                the options select the kernel backend)
+   - [kernel] : compiled {!Engine.Kernel} solve programs, each carrying
+                its {!Engine.Ac_plan} symbolic analysis (untouched when
+                the options select the dense oracle)
    - [result] : full analysis outcomes (node results + run manifest)
    - [sfg]    : static signal-flow reports (loops + probe cover)
 
@@ -49,8 +48,7 @@ type t = {
   capacity : int;
   mutable tick : int;
   ops : Stability.Probe.t family;
-  plans : Engine.Ac_plan.t option family;
-  kernels : Engine.Kernel.t option family;
+  kernels : Engine.Kernel.t family;
   results : result_entry family;
   sfgs : Staticanalysis.Report.t family;
 }
@@ -69,7 +67,6 @@ let create ?(capacity = default_capacity) () =
     capacity = max 1 capacity;
     tick = 0;
     ops = family "op";
-    plans = family "plan";
     kernels = family "kernel";
     results = family "result";
     sfgs = family "sfg" }
@@ -129,7 +126,6 @@ let memo c fam ~key compute =
     (v, false)
 
 let op c ~key compute = memo c c.ops ~key compute
-let plan c ~key compute = memo c c.plans ~key compute
 let kernel c ~key compute = memo c c.kernels ~key compute
 let result c ~key compute = memo c c.results ~key compute
 let sfg c ~key compute = memo c c.sfgs ~key compute
@@ -137,7 +133,6 @@ let sfg c ~key compute = memo c c.sfgs ~key compute
 let clear c =
   locked c (fun () ->
       Hashtbl.reset c.ops.table;
-      Hashtbl.reset c.plans.table;
       Hashtbl.reset c.kernels.table;
       Hashtbl.reset c.results.table;
       Hashtbl.reset c.sfgs.table)
@@ -163,9 +158,8 @@ let family_stat (c : t) (fam : _ family) =
 
 let stats c =
   locked c (fun () ->
-      [ family_stat c c.ops; family_stat c c.plans;
-        family_stat c c.kernels; family_stat c c.results;
-        family_stat c c.sfgs ])
+      [ family_stat c c.ops; family_stat c c.kernels;
+        family_stat c c.results; family_stat c c.sfgs ])
 
 (* Occupancy is state, not a monotonic count, so live exposition reads
    it through [Obs.Gauge]: the serve daemon calls this on its

@@ -4,11 +4,11 @@
     Keys are opaque strings built by {!Pipeline} from the deck's
     SHA-256 fingerprint plus the options in force, so an edited deck or
     a changed option is simply a different key — content addressing is
-    the whole invalidation story. Five families are memoized
+    the whole invalidation story. Four families are memoized
     independently: prepared probes (MNA compile + DC operating point),
-    compiled {!Engine.Ac_plan} symbolic analyses, compiled
-    {!Engine.Kernel} solve programs, complete result sets with their
-    run manifests, and static signal-flow reports
+    compiled {!Engine.Kernel} solve programs (each carrying its
+    {!Engine.Ac_plan} symbolic analysis), complete result sets with
+    their run manifests, and static signal-flow reports
     ({!Staticanalysis.Report.t}). A warm [result] hit therefore costs
     zero DC solves and zero symbolic analyses — the serve smoke test
     asserts exactly that from the [dcop.solves] / [acplan.symbolic]
@@ -17,8 +17,8 @@
 
     Hit/miss/eviction telemetry flows through always-on
     {!Obs.Counter}s: [cache.op.hits], [cache.op.misses],
-    [cache.op.evictions], and likewise for the [plan], [kernel],
-    [result] and [sfg] families.
+    [cache.op.evictions], and likewise for the [kernel], [result] and
+    [sfg] families.
 
     All operations are safe to call concurrently (the serve daemon
     calls in from {!Parallel.Pool} workers). The compute thunk runs
@@ -52,18 +52,11 @@ val op :
   t -> key:string -> (unit -> Stability.Probe.t) ->
   Stability.Probe.t * bool
 
-val plan :
-  t -> key:string -> (unit -> Engine.Ac_plan.t option) ->
-  Engine.Ac_plan.t option * bool
-(** [None] is a cacheable answer: it records "these options select the
-    dense backend", sparing the decision logic on the next request. *)
-
 val kernel :
-  t -> key:string -> (unit -> Engine.Kernel.t option) ->
-  Engine.Kernel.t option * bool
-(** Compiled kernel programs, keyed one step below [plan] (same
-    fingerprint plus the kernel tag); [None] records "these options do
-    not select the kernel backend". *)
+  t -> key:string -> (unit -> Engine.Kernel.t) -> Engine.Kernel.t * bool
+(** Compiled kernel programs, keyed by fingerprint and DC options; the
+    kernel carries its plan, so a hit also skips the symbolic
+    analysis. *)
 
 val result :
   t -> key:string -> (unit -> result_entry) -> result_entry * bool
@@ -82,7 +75,7 @@ val capacity : t -> int
 
 type family_stats = {
   family : string;
-  (** ["op"], ["plan"], ["kernel"], ["result"] or ["sfg"] *)
+  (** ["op"], ["kernel"], ["result"] or ["sfg"] *)
   entries : int;       (** live entries right now *)
   capacity : int;      (** LRU bound (same for every family) *)
   hits : int;

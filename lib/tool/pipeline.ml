@@ -3,7 +3,7 @@
    Every front end — each CLI subcommand, the serve daemon, OCEAN
    scripts — used to re-derive the same imperative sequence: read the
    deck, gate it on lint, find the operating point, compile the solve
-   plan, sweep, report, write the manifest. This module owns that
+   kernel, sweep, report, write the manifest. This module owns that
    sequence once, as [load] (deck -> gated circuit) and [analyze]
    (gated circuit -> results + manifest), with failures as data
    ([failure] carries the exit-code contract) instead of [exit] calls
@@ -11,11 +11,13 @@
 
    [analyze] is memoized through {!Cache} at three grains keyed by the
    deck's SHA-256 fingerprint plus the options in force: the prepared
-   probe (DC operating point), the compiled plan (symbolic analysis)
-   and the complete result set with its manifest. A warm repeat of the
-   same request performs zero DC solves and zero symbolic analyses;
-   a request that only changes the sweep or the probed nodes still
-   reuses the operating point and the plan. *)
+   probe (DC operating point), the compiled kernel (symbolic analysis
+   plus its factor/solve program) and the complete result set with its
+   manifest. A warm repeat of the same request performs zero DC solves
+   and zero symbolic analyses; a request that only changes the sweep or
+   the probed nodes still reuses the operating point and the kernel.
+   The static signal-flow report is built once per deck and shared by
+   the lint gate, the manifest and [--nodes auto]. *)
 
 type deck =
   | Deck_file of string
@@ -31,7 +33,7 @@ type loaded = {
   deck_text : string;
   sha256 : string;
   circ : Circuit.Netlist.t;
-  findings : Lint.Rule.finding list;
+  findings : Lint.Rule.finding list option;
 }
 
 type failure =
@@ -58,6 +60,23 @@ let failure_message = function
     "lint: blocking findings; fix the netlist or pass --no-lint to force \
      the run"
 
+(* ---- static signal-flow report (cached per deck + bounds) ---- *)
+
+let bounds_fingerprint (b : Staticanalysis.Cycles.bounds) =
+  Printf.sprintf "len=%d,cycles=%d" b.max_len b.max_cycles
+
+let report_of ?cache ?(bounds = Staticanalysis.Report.default_bounds) ~sha256
+    circ =
+  let build () = Staticanalysis.Report.analyze ~bounds circ in
+  match cache with
+  | None -> (build (), false)
+  | Some c ->
+    Cache.sfg c ~key:(sha256 ^ "|sfg|" ^ bounds_fingerprint bounds) build
+
+let static_report ?cache ?bounds loaded =
+  let cache = match cache with Some c -> c | None -> Cache.global () in
+  report_of ~cache ?bounds ~sha256:loaded.sha256 loaded.circ
+
 (* ---- load: parse + lint gate ---- *)
 
 let blocking policy (f : Lint.Rule.finding) =
@@ -66,7 +85,7 @@ let blocking policy (f : Lint.Rule.finding) =
   | Lint.Rule.Warning -> policy.strict
   | Lint.Rule.Info -> false
 
-let load ?(policy = default_lint_policy) deck =
+let load ?cache ?(policy = default_lint_policy) deck =
   match
     (match deck with
      | Deck_file path ->
@@ -99,16 +118,20 @@ let load ?(policy = default_lint_policy) deck =
          { message = Printf.sprintf "%s:%d: %s" file line message })
   | exception Sys_error m -> Error (Parse_failed { message = m })
   | deck_name, deck_text, circ ->
+    let sha256 = Sha256.digest deck_text in
     let findings =
-      if policy.no_lint then []
-      else Obs.Span.with_ "lint" (fun () -> Lint.Runner.run circ)
+      if policy.no_lint then None
+      else begin
+        (* The graph rules read the deck's one static report: the cached
+           one the manifest and [--nodes auto] reuse later. *)
+        let report = lazy (fst (report_of ?cache ~sha256 circ)) in
+        Some (Obs.Span.with_ "lint" (fun () -> Lint.Runner.run ~report circ))
+      end
     in
-    if List.exists (blocking policy) findings then
+    match findings with
+    | Some findings when List.exists (blocking policy) findings ->
       Error (Lint_blocked { findings })
-    else
-      Ok
-        { deck_name; deck_text; sha256 = Sha256.digest deck_text; circ;
-          findings }
+    | _ -> Ok { deck_name; deck_text; sha256; circ; findings }
 
 (* ---- guard: engine exceptions -> failure values ---- *)
 
@@ -144,22 +167,19 @@ let guard loaded f =
        errors, not internal failures. *)
     Error (Usage_failed { message = Printf.sprintf "error: %s" m })
 
-(* ---- static signal-flow report (cached per deck + bounds) ---- *)
-
-let bounds_fingerprint (b : Staticanalysis.Cycles.bounds) =
-  Printf.sprintf "len=%d,cycles=%d" b.max_len b.max_cycles
-
-let static_report ?cache ?(bounds = Staticanalysis.Report.default_bounds)
-    loaded =
-  let c = match cache with Some c -> c | None -> Cache.global () in
-  let key = loaded.sha256 ^ "|sfg|" ^ bounds_fingerprint bounds in
-  Cache.sfg c ~key (fun () -> Staticanalysis.Report.analyze ~bounds loaded.circ)
-
 (* ---- manifest emission (the one helper every mode shares) ---- *)
 
 let cpu_seconds () =
   let t = Unix.times () in
   t.Unix.tms_utime +. t.Unix.tms_stime
+
+let lint_findings ?cache loaded =
+  match loaded.findings with
+  | Some findings -> findings
+  | None ->
+    Lint.Runner.run
+      ~report:(lazy (fst (static_report ?cache loaded)))
+      loaded.circ
 
 let manifest_of ?cache loaded ~options ~results ~wall_s ~cpu_s =
   (* The lint findings go in as the lint library's JSON report,
@@ -168,7 +188,7 @@ let manifest_of ?cache loaded ~options ~results ~wall_s ~cpu_s =
      it records what the deck's signal-flow graph says regardless of the
      analysis mode, so `acstab diff` can gate on vanished loops. *)
   let lint_json =
-    Lint.Json.report ~file:loaded.deck_name (Lint.Runner.run loaded.circ)
+    Lint.Json.report ~file:loaded.deck_name (lint_findings ?cache loaded)
   in
   let loops = Loops_report.section (fst (static_report ?cache loaded)) in
   Manifest.build ~deck_file:loaded.deck_name ~deck_text:loaded.deck_text
@@ -206,12 +226,7 @@ let dc_fingerprint (o : Engine.Dcop.options) =
   Printf.sprintf "gmin=%.17g,reltol=%.17g,vntol=%.17g,abstol=%.17g,itl=%d,step=%.17g"
     o.gmin o.reltol o.vntol o.abstol o.max_iter o.max_step
 
-let backend_tag = function
-  | `Auto -> "auto"
-  | `Dense -> "dense"
-  | `Sparse -> "sparse"
-  | `Plan -> "plan"
-  | `Kernel -> "kernel"
+let backend_tag = function `Auto -> "auto" | `Dense -> "dense"
 
 (* Everything that can change the numbers goes into the key; [parallel]
    does not (scheduling is bit-identical by contract, and the
@@ -264,41 +279,33 @@ let analyze_uncached ?cache ~options loaded analysis =
   let op_key =
     loaded.sha256 ^ "|op|" ^ dc_fingerprint options.Stability.Analysis.dc_options
   in
-  let plan_key =
-    op_key ^ "|plan|" ^ backend_tag options.Stability.Analysis.backend
-  in
   let w0 = Unix.gettimeofday () and c0 = cpu_seconds () in
   let probe, _ =
     Cache.op cache ~key:op_key (fun () ->
         Stability.Probe.prepare
           ~dc_options:options.Stability.Analysis.dc_options loaded.circ)
   in
-  let plan, _ =
-    Cache.plan cache ~key:plan_key (fun () ->
-        Stability.Analysis.shared_plan options probe)
-  in
-  (* The kernel sits one compilation below the plan and is keyed one
-     level deeper; consulted only when the options actually select the
-     kernel backend, so the family stays empty (and its counters flat)
-     on every other path. Warm repeat on the same deck + options =
-     zero kernel compiles, which the serve smoke test asserts from the
-     [kernel.compiles] counter. *)
+  (* The kernel carries its plan, so one family serves both
+     compilations: a warm repeat on the same deck + DC options compiles
+     nothing (the serve smoke test asserts it from [kernel.compiles] and
+     [acplan.symbolic]). The dense oracle leaves the family untouched. *)
   let kernel =
     match options.Stability.Analysis.backend with
-    | `Kernel ->
-      fst
-        (Cache.kernel cache ~key:(plan_key ^ "|kernel") (fun () ->
-             Stability.Analysis.shared_kernel options plan))
-    | _ -> None
+    | `Dense -> None
+    | `Auto ->
+      Some
+        (fst
+           (Cache.kernel cache ~key:(op_key ^ "|kernel") (fun () ->
+                Engine.Kernel.compile
+                  (Stability.Probe.plan probe
+                     ~sweep:options.Stability.Analysis.sweep))))
   in
   let results =
     match analysis with
     | Single_node node ->
-      [ Stability.Analysis.single_node_prepared ~options ?plan ?kernel probe
-          node ]
+      [ Stability.Analysis.single_node_prepared ~options ?kernel probe node ]
     | All_nodes nodes ->
-      Stability.Analysis.all_nodes_prepared ~options ?nodes ?plan ?kernel
-        probe
+      Stability.Analysis.all_nodes_prepared ~options ?nodes ?kernel probe
     | Auto_nodes ->
       (* Probe only the static report's cover set — every enumerated
          loop stays observed. A loop-free (or all-pinned) deck has an
@@ -310,8 +317,7 @@ let analyze_uncached ?cache ~options loaded analysis =
         | [] -> None
         | cover -> Some cover
       in
-      Stability.Analysis.all_nodes_prepared ~options ?nodes ?plan ?kernel
-        probe
+      Stability.Analysis.all_nodes_prepared ~options ?nodes ?kernel probe
   in
   let wall_s = Unix.gettimeofday () -. w0
   and cpu_s = cpu_seconds () -. c0 in
@@ -366,9 +372,10 @@ let request ?(options = Stability.Analysis.default_options)
   { deck; analysis; options; policy }
 
 let run ?cache { deck; analysis; options; policy } =
-  match load ~policy deck with
+  let cache = match cache with Some c -> c | None -> Cache.global () in
+  match load ~cache ~policy deck with
   | Error f -> Error f
   | Ok loaded ->
-    (match analyze ?cache ~options loaded analysis with
+    (match analyze ~cache ~options loaded analysis with
      | Ok outcome -> Ok outcome
      | Error f -> Error f)

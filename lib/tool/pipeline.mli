@@ -3,7 +3,7 @@
     One code path from deck to results, shared by the CLI subcommands,
     the [acstab serve] daemon and OCEAN sessions:
 
-    {v deck -> load (parse + lint gate) -> analyze (DC op -> plan ->
+    {v deck -> load (parse + lint gate) -> analyze (DC op -> kernel ->
        sweep -> peaks) -> results + manifest v}
 
     Failures are data ({!failure}, with {!exit_code} carrying the CLI's
@@ -12,12 +12,13 @@
 
     [analyze] memoizes through {!Cache}, keyed by the deck's SHA-256
     fingerprint and the options in force, at three grains: the prepared
-    probe (MNA + DC operating point), the compiled {!Engine.Ac_plan}
-    (the symbolic analysis) and the complete result set with its run
-    manifest. A warm repeat of an identical request performs zero DC
-    solves and zero symbolic analyses; a request that changes only the
-    sweep or the probed nodes still reuses the operating point and the
-    plan. *)
+    probe (MNA + DC operating point), the compiled {!Engine.Kernel}
+    (with its {!Engine.Ac_plan} symbolic analysis) and the complete
+    result set with its run manifest. A warm repeat of an identical
+    request performs zero DC solves and zero symbolic analyses; a
+    request that changes only the sweep or the probed nodes still reuses
+    the operating point and the kernel. One cold analysis builds the
+    deck's static signal-flow report once and lints once. *)
 
 type deck =
   | Deck_file of string                 (** parse a netlist file *)
@@ -37,8 +38,9 @@ type loaded = {
   deck_text : string;
   sha256 : string;              (** deck fingerprint — every cache key's prefix *)
   circ : Circuit.Netlist.t;
-  findings : Lint.Rule.finding list;
-      (** what the gate ran (and the CLI prints); [[]] under [no_lint] *)
+  findings : Lint.Rule.finding list option;
+      (** what the gate ran (and the CLI prints); [None] under
+          [no_lint], which runs no linter *)
 }
 
 type failure =
@@ -55,9 +57,13 @@ type failure =
 val exit_code : failure -> int
 val failure_message : failure -> string
 
-val load : ?policy:lint_policy -> deck -> (loaded, failure) result
+val load :
+  ?cache:Cache.t -> ?policy:lint_policy -> deck -> (loaded, failure) result
 (** Parse and lint-gate a deck. [Error Lint_blocked] when a finding
-    blocks under [policy] (errors always; warnings under [strict]). *)
+    blocks under [policy] (errors always; warnings under [strict]). The
+    gate's graph rules read the deck's static report, memoized in
+    [cache]'s [sfg] family (the entry {!static_report} returns later);
+    without [cache] the report is built for this call only. *)
 
 val guard : loaded -> (unit -> 'a) -> ('a, failure) result
 (** Run an engine computation, translating its exceptions
@@ -75,13 +81,18 @@ val static_report :
     fingerprint and the cycle bounds. The [bool] is the hit flag; a warm
     hit performs zero graph rebuilds ([sfg.builds] stays flat). *)
 
+val lint_findings : ?cache:Cache.t -> loaded -> Lint.Rule.finding list
+(** The deck's lint findings: the gate's when it ran, otherwise one lint
+    pass over the cached {!static_report}. *)
+
 val manifest_of :
   ?cache:Cache.t -> loaded -> options:(string * string) list ->
   results:Stability.Analysis.node_result list -> wall_s:float ->
   cpu_s:float -> Manifest.t
 (** The single manifest-emission helper: fingerprint, options, results,
-    lint report, structural loops section, telemetry snapshot — used by
-    [analyze] itself, by the run command's crash reports, and by
+    lint report ({!lint_findings}, so a [no_lint] run still records what
+    the linter says), structural loops section, telemetry snapshot —
+    used by [analyze] itself, by the run command's crash reports, and by
     anything else that must record a run. *)
 
 val cpu_seconds : unit -> float
@@ -137,4 +148,4 @@ val request :
   analysis -> request
 
 val run : ?cache:Cache.t -> request -> (outcome, failure) result
-(** [load] then [analyze]. *)
+(** [load] then [analyze], both on [cache] (default {!Cache.global}). *)

@@ -128,19 +128,14 @@ let options_of_request v =
   let ppd = Option.value ~default:30 (Json.mem_int "ppd" v) in
   (* "backend" mirrors the CLI's --backend enum; an unknown name is a
      protocol error, not a silent fallback to auto. *)
-  match Option.value ~default:"auto" (Json.mem_str "backend" v) with
-  | "auto" | "dense" | "sparse" | "plan" | "kernel" as b ->
-    let backend =
-      match b with
-      | "dense" -> `Dense
-      | "sparse" -> `Sparse
-      | "plan" -> `Plan
-      | "kernel" -> `Kernel
-      | _ -> `Auto
-    in
+  let with_backend backend =
     Ok
       { Stability.Analysis.default_options with
         sweep = Numerics.Sweep.decade fmin fmax ppd; backend }
+  in
+  match Option.value ~default:"auto" (Json.mem_str "backend" v) with
+  | "auto" -> with_backend `Auto
+  | "dense" -> with_backend `Dense
   | b -> Error (Printf.sprintf "unknown backend %S" b)
 
 let analysis_of_request v =

@@ -3,10 +3,11 @@
    Starts the daemon on a private socket, then over the wire: a cold
    all-nodes request, a warm repeat that must be answered from the
    cache with byte-identical results and zero extra DC solves / zero
-   extra symbolic analyses (asserted from the Obs counters via the
-   protocol's own `counters` command), four concurrent in-flight
-   requests on four connections, and a clean shutdown that removes the
-   socket file. *)
+   extra symbolic analyses / zero extra kernel compiles (asserted from
+   the Obs counters via the protocol's own `counters` command), four
+   concurrent in-flight requests on four connections, the removed
+   backend names refused with a structured error, and a clean shutdown
+   that removes the socket file. *)
 
 let sock =
   Filename.concat
@@ -76,13 +77,18 @@ let () =
    | p ->
      fail "protocol mismatch: %s" (Option.value ~default:"<absent>" p));
 
-  (* Cold request: a miss that does real work. *)
+  (* Cold request: a miss that does real work, compiling exactly one
+     kernel on the default solve path. *)
   let all_nodes =
     Tool.Json.Obj (("mode", Tool.Json.Str "all-nodes") :: analyze_fields)
   in
+  let compiles0 = counter c "kernel.compiles" in
   let cold = Tool.Server.Client.request c all_nodes in
   expect_ok cold;
   expect_cache "miss" cold;
+  let compiles1 = counter c "kernel.compiles" in
+  if compiles1 <> compiles0 + 1 then
+    fail "cold request compiled %d kernels, wanted 1" (compiles1 - compiles0);
 
   (* Warm repeat: a hit, byte-identical, zero re-solves. *)
   let dc0 = counter c "dcop.solves"
@@ -91,10 +97,13 @@ let () =
   expect_ok warm;
   expect_cache "hit" warm;
   let dc1 = counter c "dcop.solves"
-  and sym1 = counter c "acplan.symbolic" in
+  and sym1 = counter c "acplan.symbolic"
+  and compiles2 = counter c "kernel.compiles" in
   if dc1 <> dc0 then fail "warm request re-solved DC (%d -> %d)" dc0 dc1;
   if sym1 <> sym0 then
     fail "warm request re-ran symbolic analysis (%d -> %d)" sym0 sym1;
+  if compiles2 <> compiles1 then
+    fail "warm request recompiled the kernel (%d -> %d)" compiles1 compiles2;
   List.iter
     (fun field ->
       let bytes j = Tool.Json.to_string (mem field j) in
@@ -198,54 +207,36 @@ let () =
    | Some l -> fail "auto probed %d nets, wanted the 1-net cover" (List.length l)
    | None -> fail "auto analyze returned no node list");
 
-  (* The kernel backend over the wire: the cold request compiles exactly
-     one kernel, the warm repeat answers from the cache with zero
-     recompiles, and the answers are byte-identical to the plan-backed
-     default run — the kernel is bit-identical by construction. *)
-  let kernel_req =
-    Tool.Json.Obj
-      (("mode", Tool.Json.Str "all-nodes")
-       :: ("backend", Tool.Json.Str "kernel")
-       :: analyze_fields)
-  in
-  let compiles0 = counter c "kernel.compiles" in
-  let kcold = Tool.Server.Client.request c kernel_req in
-  expect_ok kcold;
-  expect_cache "miss" kcold;
-  let compiles1 = counter c "kernel.compiles" in
-  if compiles1 <> compiles0 + 1 then
-    fail "cold kernel request compiled %d kernels, wanted 1"
-      (compiles1 - compiles0);
-  let kwarm = Tool.Server.Client.request c kernel_req in
-  expect_ok kwarm;
-  expect_cache "hit" kwarm;
-  let compiles2 = counter c "kernel.compiles" in
-  if compiles2 <> compiles1 then
-    fail "warm kernel request recompiled (%d -> %d)" compiles1 compiles2;
-  let bytes field j = Tool.Json.to_string (mem field j) in
-  if bytes "nodes" kcold <> bytes "nodes" kwarm then
-    fail "warm kernel nodes differ from cold";
-  if bytes "nodes" kcold <> bytes "nodes" cold then
-    fail "kernel-backend nodes differ from the plan-backed default";
-  (* An unknown backend name is a usage error (exit-code contract 2),
-     not a crash. *)
-  let bogus =
-    Tool.Server.Client.request c
-      (Tool.Json.Obj
-         (("mode", Tool.Json.Str "all-nodes")
-          :: ("backend", Tool.Json.Str "warp")
-          :: analyze_fields))
-  in
-  (match Tool.Json.mem_bool "ok" bogus with
-   | Some false -> ()
-   | _ -> fail "bogus backend accepted: %s" (Tool.Json.to_string bogus));
-  (match
-     Option.bind (Tool.Json.member "error" bogus) (Tool.Json.mem_int "code")
-   with
-   | Some 2 -> ()
-   | cd ->
-     fail "bogus backend error code %d, wanted the usage code 2"
-       (Option.value ~default:(-1) cd));
+  (* The backend names that no longer exist, like any unknown name,
+     are a usage error (exit-code contract 2) naming the backend, not a
+     crash: the same daemon keeps answering on the same connection. *)
+  List.iter
+    (fun name ->
+      let r =
+        Tool.Server.Client.request c
+          (Tool.Json.Obj
+             (("mode", Tool.Json.Str "all-nodes")
+              :: ("backend", Tool.Json.Str name)
+              :: analyze_fields))
+      in
+      (match Tool.Json.mem_bool "ok" r with
+       | Some false -> ()
+       | _ -> fail "backend %S accepted: %s" name (Tool.Json.to_string r));
+      let err = mem "error" r in
+      (match Tool.Json.mem_int "code" err with
+       | Some 2 -> ()
+       | cd ->
+         fail "backend %S error code %d, wanted the usage code 2" name
+           (Option.value ~default:(-1) cd));
+      (match Tool.Json.mem_str "message" err with
+       | Some m when m = Printf.sprintf "unknown backend %S" name -> ()
+       | m ->
+         fail "backend %S error message %s" name
+           (Option.value ~default:"<absent>" m));
+      expect_ok
+        (Tool.Server.Client.request c
+           (Tool.Json.Obj [ ("cmd", Tool.Json.Str "ping") ])))
+    [ "plan"; "sparse"; "kernel"; "warp" ];
 
   (* stats: every cache family reports occupancy next to its traffic. *)
   let stats =
@@ -264,12 +255,12 @@ let () =
             if Tool.Json.mem_int field f = None then
               fail "stats %s family lacks %S" fam field)
           [ "entries"; "capacity"; "hits"; "misses"; "evictions" ])
-    [ "op"; "plan"; "kernel"; "result"; "sfg" ];
+    [ "op"; "kernel"; "result"; "sfg" ];
   (match Option.bind (Tool.Json.member "kernel" cache_stats)
            (Tool.Json.mem_int "entries") with
    | Some n when n >= 1 -> ()
    | _ ->
-     fail "kernel family shows no resident entries after kernel requests");
+     fail "kernel family shows no resident entries after analyze requests");
   (match Option.bind (Tool.Json.member "sfg" cache_stats)
            (Tool.Json.mem_int "entries") with
    | Some n when n >= 1 -> ()
@@ -331,9 +322,9 @@ let () =
   if Sys.file_exists stale then fail "stale socket path survived shutdown";
 
   print_endline
-    "serve-smoke: OK (cold miss, warm hit byte-identical with 0 DC \
-     re-solves and 0 symbolic re-analyses, 4 concurrent in-flight \
-     requests, loops cold/warm with 0 graph rebuilds, nodes=auto cover \
-     run, kernel backend cold/warm with 0 recompiles and plan-identical \
-     bytes, per-family cache stats, live-socket refusal, stale-socket \
-     recovery, clean shutdown)"
+    "serve-smoke: OK (cold miss with 1 kernel compile, warm hit \
+     byte-identical with 0 DC re-solves, 0 symbolic re-analyses and 0 \
+     kernel recompiles, 4 concurrent in-flight requests, loops cold/warm \
+     with 0 graph rebuilds, nodes=auto cover run, removed backend names \
+     refused with the daemon still answering, per-family cache stats, \
+     live-socket refusal, stale-socket recovery, clean shutdown)"

@@ -1,5 +1,5 @@
 (* Control-theory library: second-order relations (paper Table 1),
-   transfer functions, Bode margins, step responses. *)
+   transfer functions, step responses. *)
 
 open Control
 
@@ -165,42 +165,6 @@ let prop_step_overshoot =
       let overshoot = 100. *. (peak -. 1.) in
       Float.abs (overshoot -. Second_order.percent_overshoot zeta) < 1.5)
 
-(* ---------- bode ---------- *)
-
-let test_bode_margins_one_pole () =
-  (* L(s) = 1000/(1+s/w1): crosses 0 dB at ~1000*f1 with PM ~ 90 deg. *)
-  let f1 = 1e3 in
-  let l =
-    Tf.of_real_coeffs ~num:[| 1000. |]
-      ~den:[| 1.; 1. /. (2. *. Float.pi *. f1) |]
-  in
-  let m = Bode.margins l (Numerics.Sweep.decade 10. 1e8 40) in
-  (match m.Bode.unity_freq with
-   | Some fu -> check_close ~tol:1e-2 "crossover" (1000. *. f1) fu
-   | None -> Alcotest.fail "no crossover");
-  match m.Bode.phase_margin_deg with
-  | Some pm -> check_close ~tol:1e-2 "pm ~ 90" 90.06 pm
-  | None -> Alcotest.fail "no phase margin"
-
-let test_bode_margins_match_second_order () =
-  (* The loop wn^2/(s(s+2 zeta wn)) must measure the closed-form PM. *)
-  List.iter
-    (fun zeta ->
-      let wn = 2. *. Float.pi *. 1e6 in
-      let l =
-        Tf.of_real_coeffs
-          ~num:[| wn *. wn |]
-          ~den:[| 0.; 2. *. zeta *. wn; 1. |]
-      in
-      let m = Bode.margins l (Numerics.Sweep.decade 1e3 1e9 120) in
-      match m.Bode.phase_margin_deg with
-      | Some pm ->
-        check_close ~tol:2e-3 (Printf.sprintf "pm zeta=%g" zeta)
-          (Second_order.phase_margin_exact zeta)
-          pm
-      | None -> Alcotest.fail "no phase margin")
-    [ 0.2; 0.4; 0.6 ]
-
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -222,9 +186,4 @@ let () =
            test_tf_stability_predicate;
          Alcotest.test_case "step response closed form" `Quick
            test_tf_step_response ]);
-      qsuite "tf-props" [ prop_step_overshoot ];
-      ("bode",
-       [ Alcotest.test_case "one-pole margins" `Quick
-           test_bode_margins_one_pole;
-         Alcotest.test_case "second-order loop margins" `Quick
-           test_bode_margins_match_second_order ]) ]
+      qsuite "tf-props" [ prop_step_overshoot ] ]

@@ -54,14 +54,15 @@ let test_probe_rejects_ground () =
      with Invalid_argument _ -> true)
 
 let test_probe_backends_agree () =
-  (* Dense and sparse factorisations of the same system must agree to
-     solver precision; force both on a mid-size circuit. *)
+  (* The dense oracle and the default compiled sparse kernel factor the
+     same system and must agree to solver precision on a mid-size
+     circuit. *)
   let circ = Workloads.Opamp_2mhz.buffer () in
   let sweep = Numerics.Sweep.decade 1e4 1e8 10 in
   let probe = Stability.Probe.prepare circ in
   let nodes = [ "out"; "o1"; "vcasc" ] in
   let dense = Stability.Probe.response_many ~backend:`Dense probe ~sweep nodes in
-  let sparse = Stability.Probe.response_many ~backend:`Sparse probe ~sweep nodes in
+  let sparse = Stability.Probe.response_many probe ~sweep nodes in
   List.iter2
     (fun (n1, w1) (n2, w2) ->
       Alcotest.(check string) "node order" n1 n2;
@@ -531,9 +532,10 @@ let test_cross_validation_with_tf () =
 
 (* ---------- AC-plan backends ---------- *)
 
-(* The compiled-plan solve path is a pure performance refactor: forcing
-   each backend over the same shipped deck must produce the same node
-   set, the same peak structure, and numerically equivalent estimates. *)
+(* The compiled solve path is a pure performance refactor of the dense
+   oracle: both backends over the same shipped deck must produce the
+   same node set, the same peak structure, and numerically equivalent
+   estimates. *)
 let test_all_nodes_backends_agree () =
   let circ = Circuit.Parser.parse_file "../circuits/two_pole_loop.sp" in
   let run backend =
@@ -545,68 +547,88 @@ let test_all_nodes_backends_agree () =
     Stability.Analysis.all_nodes ~options circ
   in
   let dense = run `Dense in
-  let sparse = run `Sparse in
-  let plan = run `Plan in
+  let compiled = run `Auto in
   Alcotest.(check bool) "some nets analysed" true (List.length dense > 0);
-  let compare_results label a b =
-    Alcotest.(check (list string)) (label ^ ": same nets")
-      (List.map (fun r -> r.Stability.Analysis.node) a)
-      (List.map (fun r -> r.Stability.Analysis.node) b);
-    List.iter2
-      (fun ra rb ->
-        let pa = ra.Stability.Analysis.peaks
-        and pb = rb.Stability.Analysis.peaks in
-        Alcotest.(check int)
-          (Printf.sprintf "%s: %s peak count" label
-             ra.Stability.Analysis.node)
-          (List.length pa) (List.length pb);
-        List.iter2
-          (fun (p : Stability.Peaks.peak) (q : Stability.Peaks.peak) ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: %s same peak kind" label
-                 ra.Stability.Analysis.node)
-              true (p.kind = q.kind);
-            check_close ~tol:1e-6
-              (Printf.sprintf "%s: %s natural frequency" label
-                 ra.Stability.Analysis.node)
-              p.freq q.freq;
-            check_close ~tol:1e-6
-              (Printf.sprintf "%s: %s performance index" label
-                 ra.Stability.Analysis.node)
-              p.value q.value)
-          pa pb)
-      a b
-  in
-  compare_results "dense vs sparse" dense sparse;
-  compare_results "dense vs plan" dense plan
+  Alcotest.(check (list string)) "same nets"
+    (List.map (fun r -> r.Stability.Analysis.node) dense)
+    (List.map (fun r -> r.Stability.Analysis.node) compiled);
+  List.iter2
+    (fun ra rb ->
+      let node = ra.Stability.Analysis.node in
+      let pa = ra.Stability.Analysis.peaks
+      and pb = rb.Stability.Analysis.peaks in
+      Alcotest.(check int) (node ^ " peak count") (List.length pa)
+        (List.length pb);
+      List.iter2
+        (fun (p : Stability.Peaks.peak) (q : Stability.Peaks.peak) ->
+          Alcotest.(check bool) (node ^ " same peak kind") true
+            (p.kind = q.kind);
+          check_close ~tol:1e-6 (node ^ " natural frequency") p.freq q.freq;
+          check_close ~tol:1e-6 (node ^ " performance index") p.value
+            q.value)
+        pa pb)
+    dense compiled
 
-(* The plan's whole point: one symbolic analysis per sweep and one
-   numeric refactorisation per frequency point, however many nets are
-   probed. Asserted through the factorisation counters. *)
+(* Every shipped deck — the six under circuits/ and the four
+   export-builtin designs — through the cached pipeline twice, default
+   and dense oracle: the manifests must agree within `acstab diff`
+   tolerance (no peak, net or loop change, no grade downgrade). *)
+let test_default_matches_dense_shipped () =
+  let decks =
+    List.map
+      (fun f -> Tool.Pipeline.Deck_file ("../circuits/" ^ f))
+      [ "double_tuned.sp"; "emitter_follower.sp"; "rlc_tank.sp";
+        "sallen_key.sp"; "two_pole_loop.sp"; "wilson_mirror.sp" ]
+    @ List.map
+        (fun (name, circ) -> Tool.Pipeline.Deck_circuit { name; circ })
+        [ ("opamp_2mhz_buffer", Workloads.Opamp_2mhz.buffer ());
+          ("nmc_amp_buffer", Workloads.Nmc_amp.buffer ());
+          ("bias_zero_tc", Workloads.Bias_zero_tc.cell ());
+          ("rc_ladder_20", Workloads.Ladder.rc ()) ]
+  in
+  List.iter
+    (fun deck ->
+      let manifest backend =
+        let options = { Stability.Analysis.default_options with backend } in
+        match
+          Tool.Pipeline.run ~cache:(Tool.Cache.create ())
+            (Tool.Pipeline.request ~options deck (Tool.Pipeline.All_nodes None))
+        with
+        | Ok o -> o.Tool.Pipeline.manifest
+        | Error f -> Alcotest.fail (Tool.Pipeline.failure_message f)
+      in
+      let dense = manifest `Dense and compiled = manifest `Auto in
+      let name = dense.Tool.Manifest.deck_file in
+      Alcotest.(check (list string)) (name ^ ": acstab diff is clean") []
+        (List.map (Format.asprintf "%a" Tool.Manifest.pp_change)
+           (Tool.Manifest.diff dense compiled)))
+    decks
+
+(* One symbolic analysis per sweep and one kernel point per frequency
+   point, however many nets are probed. Asserted through the counters. *)
 let test_plan_factorisation_counts () =
   let circ = Workloads.Opamp_2mhz.buffer () in
   let sweep = Numerics.Sweep.decade 1e4 1e8 10 in
   let points = Array.length (Numerics.Sweep.points sweep) in
   let probe = Stability.Probe.prepare circ in
   let nodes = [ "out"; "o1"; "vcasc" ] in
-  let before = Engine.Ac_plan.totals () in
-  ignore (Stability.Probe.response_many ~backend:`Plan probe ~sweep nodes);
-  let after = Engine.Ac_plan.totals () in
+  let sym = Engine.Ac_plan.analyses () in
+  let before = Engine.Kernel.totals () in
+  ignore (Stability.Probe.response_many probe ~sweep nodes);
+  let after = Engine.Kernel.totals () in
+  Alcotest.(check int) "one symbolic analysis per sweep" (sym + 1)
+    (Engine.Ac_plan.analyses ());
   Alcotest.(check int) "no pivot-order fallbacks" 0
-    (after.Engine.Ac_plan.fallback - before.Engine.Ac_plan.fallback);
-  Alcotest.(check int) "one symbolic analysis per sweep" 1
-    (after.Engine.Ac_plan.symbolic - before.Engine.Ac_plan.symbolic);
-  Alcotest.(check int) "one numeric refactorisation per point" points
-    (after.Engine.Ac_plan.numeric - before.Engine.Ac_plan.numeric);
-  Alcotest.(check int) "one RHS per probed net per point"
-    (points * List.length nodes)
-    (after.Engine.Ac_plan.rhs - before.Engine.Ac_plan.rhs)
+    (after.Engine.Kernel.fallback - before.Engine.Kernel.fallback);
+  Alcotest.(check int) "one refactorisation per point" points
+    (after.Engine.Kernel.points - before.Engine.Kernel.points)
 
 (* ---------- compiled kernels ---------- *)
 
 (* The kernel's contract is stronger than numerical agreement: it
-   replays the plan backend's exact float operation sequence, so every
-   comparison below is on the raw IEEE bits, not a tolerance. *)
+   replays the exact float operation sequence of the interpreted Scmat
+   path on the plan's symbolic analysis, so every comparison below is
+   on the raw IEEE bits, not a tolerance. *)
 
 let complex_bits z =
   (Int64.bits_of_float z.Complex.re, Int64.bits_of_float z.Complex.im)
@@ -625,6 +647,44 @@ let check_waves_bit_identical label a b =
         w1.Numerics.Waveform.Freq.h)
     a b
 
+(* What the kernel replays at one frequency: refactor the plan's matrix
+   along its frozen symbolic analysis (a fresh pivoting factorisation
+   where the frozen pivots go stale), then one batched solve. *)
+let scmat_replay plan ~omega bs =
+  let a = Engine.Ac_plan.matrix_at plan ~omega in
+  let f =
+    try
+      Numerics.Scmat.refactor ~pivot_tol:Engine.Ac_plan.pivot_tol
+        (Engine.Ac_plan.symbolic plan) a
+    with Numerics.Sparse.Singular _ -> snd (Numerics.Scmat.analyze a)
+  in
+  Numerics.Scmat.lu_solve_many f bs
+
+let unit_rhs size k =
+  let b = Array.make size Numerics.Cx.zero in
+  b.(k) <- Numerics.Cx.one;
+  b
+
+(* The Scmat replay of a whole probe sweep, on the plan the probe layer
+   compiles for it. *)
+let replay_sweep probe ~sweep nodes =
+  let plan = Stability.Probe.plan probe ~sweep in
+  let mna = probe.Stability.Probe.mna in
+  let idx = List.map (Engine.Mna.node_index mna) nodes in
+  let bs =
+    Array.of_list (List.map (unit_rhs mna.Engine.Mna.size) idx)
+  in
+  let freqs = Numerics.Sweep.points sweep in
+  let xs =
+    Array.map (fun f -> scmat_replay plan ~omega:(2. *. Float.pi *. f) bs)
+      freqs
+  in
+  List.mapi
+    (fun q (n, i) ->
+      let h = Array.map (fun x -> x.(q).(i)) xs in
+      (n, Numerics.Waveform.Freq.make freqs h))
+    (List.combine nodes idx)
+
 (* Every shipped deck, every net, both batch shapes: the multi-RHS
    sweep (m > 1 reciprocal back-substitution) and the single-net sweep
    (m = 1 division form — a genuinely different float sequence the
@@ -636,23 +696,22 @@ let test_kernel_bits_shipped_decks () =
       let probe = Stability.Probe.prepare circ in
       let sweep = Numerics.Sweep.decade 1e2 1e8 8 in
       let nodes = Circuit.Netlist.node_names circ in
-      let run backend nodes =
-        Stability.Probe.response_many ~backend probe ~sweep nodes
+      let check label nodes =
+        check_waves_bit_identical (file ^ label)
+          (replay_sweep probe ~sweep nodes)
+          (Stability.Probe.response_many probe ~sweep nodes)
       in
-      check_waves_bit_identical (file ^ " all nets")
-        (run `Plan nodes) (run `Kernel nodes);
-      let first = [ List.hd nodes ] in
-      check_waves_bit_identical (file ^ " single net")
-        (run `Plan first) (run `Kernel first))
+      check " all nets" nodes;
+      check " single net" [ List.hd nodes ])
     [ "two_pole_loop.sp"; "sallen_key.sp"; "double_tuned.sp";
       "emitter_follower.sp"; "wilson_mirror.sp" ]
 
 (* Property: over the synthetic generator family (mesh / tree / amp
-   array, varying shape), [Kernel.solve_many] is bit-identical to
-   [Ac_plan.solve_many] on the same plan, across frequencies and for
-   both batch shapes. *)
+   array, varying shape), [Kernel.solve_many] is bit-identical to the
+   Scmat replay on the same plan, across frequencies and for both batch
+   shapes. *)
 let prop_kernel_bits_synth =
-  QCheck.Test.make ~name:"synth circuits: kernel = plan, bit for bit"
+  QCheck.Test.make ~name:"synth circuits: kernel = plan, replayed by Scmat"
     ~count:9
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
@@ -673,12 +732,9 @@ let prop_kernel_bits_synth =
       in
       let kern = Engine.Kernel.compile plan in
       let size = mna.Engine.Mna.size in
-      let unit k =
-        let b = Array.make size Numerics.Cx.zero in
-        b.(k) <- Numerics.Cx.one;
-        b
+      let bs =
+        Array.map (unit_rhs size) [| 0; size / 2; size - 1 |]
       in
-      let bs = [| unit 0; unit (size / 2); unit (size - 1) |] in
       List.for_all
         (fun f ->
           let omega = 2. *. Float.pi *. f in
@@ -690,13 +746,58 @@ let prop_kernel_bits_synth =
                   x y)
               xs ys
           in
-          same
-            (Engine.Ac_plan.solve_many plan ~omega bs)
+          same (scmat_replay plan ~omega bs)
             (Engine.Kernel.solve_many kern ~omega bs)
           && same
-               (Engine.Ac_plan.solve_many plan ~omega [| bs.(0) |])
+               (scmat_replay plan ~omega [| bs.(0) |])
                (Engine.Kernel.solve_many kern ~omega [| bs.(0) |]))
         [ 1e2; 1e5; 1e9 ])
+
+(* Sampled points price the kernel's own factor: the rcond estimate and
+   scaled residual it records are exactly those of the Scmat factor it
+   replays, so node grades do not depend on how the factor was run. *)
+let test_kernel_health_matches_scmat () =
+  Engine.Health.set_sample_every 1;
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.Health.set_sample_every Engine.Health.default_sample_every)
+    (fun () ->
+      List.iter
+        (fun (name, circ) ->
+          let probe = Stability.Probe.prepare circ in
+          let plan =
+            Stability.Probe.plan probe ~sweep:(Numerics.Sweep.decade 1e3 1e9 5)
+          in
+          let kern = Engine.Kernel.compile plan in
+          let bs = [| unit_rhs (Engine.Ac_plan.size plan) 0 |] in
+          List.iter
+            (fun f ->
+              let omega = 2. *. Float.pi *. f in
+              let m = Engine.Health.meter () in
+              let x = (Engine.Kernel.solve_many ~health:m kern ~omega bs).(0) in
+              let a = Engine.Ac_plan.matrix_at plan ~omega in
+              let fac =
+                Numerics.Scmat.refactor ~pivot_tol:Engine.Ac_plan.pivot_tol
+                  (Engine.Ac_plan.symbolic plan) a
+              in
+              let mag_inf v =
+                Array.fold_left (fun acc z -> Float.max acc (Numerics.Cx.mag z))
+                  0. v
+              in
+              let label what = Printf.sprintf "%s %s at %g Hz" name what f in
+              Alcotest.(check (float 0.)) (label "rcond")
+                (Numerics.Cond.rcond (Numerics.Cond.sparse a fac))
+                (Engine.Health.worst_rcond m);
+              Alcotest.(check (float 0.)) (label "residual")
+                (Engine.Health.relative_residual
+                   ~norm1:(Numerics.Scmat.norm1 a)
+                   ~residual_inf:(Numerics.Scmat.residual_inf a x bs.(0))
+                   ~x_inf:(mag_inf x) ~b_inf:(mag_inf bs.(0)))
+                (Engine.Health.worst_residual m))
+            [ 1e3; 1e6; 1e9 ])
+        [ ("opamp", Workloads.Opamp_2mhz.buffer ());
+          ("nmc", Workloads.Nmc_amp.buffer ());
+          ("mesh", Workloads.Synth.rc_mesh ~rows:3 ~cols:4 ()) ])
 
 (* Chunked pooled execution writes disjoint cells and never enters the
    arithmetic, so parallel kernel sweeps are bit-identical to
@@ -716,12 +817,10 @@ let test_kernel_seq_par_identical () =
       let sweep = Numerics.Sweep.decade 1e3 1e9 40 in
       let nodes = [ "out"; "o1"; "vcasc" ] in
       let seq =
-        Stability.Probe.response_many ~backend:`Kernel ~parallel:`Seq probe
-          ~sweep nodes
+        Stability.Probe.response_many ~parallel:`Seq probe ~sweep nodes
       in
       let par =
-        Stability.Probe.response_many ~backend:`Kernel ~parallel:`Par probe
-          ~sweep nodes
+        Stability.Probe.response_many ~parallel:`Par probe ~sweep nodes
       in
       check_waves_bit_identical "kernel seq vs par" seq par)
 
@@ -735,8 +834,7 @@ let test_kernel_counter_budget () =
   let probe = Stability.Probe.prepare circ in
   let nodes = [ "out"; "o1" ] in
   let before = Engine.Kernel.totals () in
-  ignore
-    (Stability.Probe.response_many ~backend:`Kernel probe ~sweep nodes);
+  ignore (Stability.Probe.response_many probe ~sweep nodes);
   let after = Engine.Kernel.totals () in
   Alcotest.(check int) "one kernel compile per sweep" 1
     (after.Engine.Kernel.compiles - before.Engine.Kernel.compiles);
@@ -758,7 +856,7 @@ let test_kernel_counter_budget () =
   Alcotest.(check int) "shared kernel compiles nothing" base
     (Engine.Kernel.totals ()).Engine.Kernel.compiles;
   check_waves_bit_identical "shared kernel answers"
-    (Stability.Probe.response_many ~backend:`Kernel probe ~sweep nodes)
+    (Stability.Probe.response_many probe ~sweep nodes)
     shared
 
 (* ---------- numerical-health grading ---------- *)
@@ -797,8 +895,7 @@ let test_quality_suspect_on_starved_deck () =
       let options =
         { Stability.Analysis.default_options with
           sweep = Numerics.Sweep.decade 1. 1e3 10;
-          refine = false;
-          backend = `Plan }
+          refine = false }
       in
       let res = Stability.Analysis.single_node ~options circ "n2" in
       Alcotest.(check string) "starved deck grades suspect" "suspect"
@@ -852,14 +949,19 @@ let () =
       ("ac-plan",
        [ Alcotest.test_case "backends agree on shipped deck" `Quick
            test_all_nodes_backends_agree;
+         Alcotest.test_case "default = dense on every shipped deck" `Quick
+           test_default_matches_dense_shipped;
          Alcotest.test_case "factorisation counters" `Quick
            test_plan_factorisation_counts ]);
       ("kernel",
-       [ Alcotest.test_case "shipped decks bit-identical to plan" `Quick
+       [ Alcotest.test_case "shipped decks bit-identical to Scmat replay"
+           `Quick
            test_kernel_bits_shipped_decks;
          QCheck_alcotest.to_alcotest prop_kernel_bits_synth;
          Alcotest.test_case "parallel = sequential, bit for bit" `Quick
            test_kernel_seq_par_identical;
+         Alcotest.test_case "sampled health = Scmat factor health" `Quick
+           test_kernel_health_matches_scmat;
          Alcotest.test_case "compile/point counter budget" `Quick
            test_kernel_counter_budget ]);
       ("cross-validation",

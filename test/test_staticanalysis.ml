@@ -254,6 +254,10 @@ let load_deck file =
   | Error f ->
     Alcotest.failf "load failed: %s" (Tool.Pipeline.failure_message f)
 
+let loop_options =
+  { Stability.Analysis.default_options with
+    sweep = Numerics.Sweep.decade 1e2 1e8 20 }
+
 (* The acceptance contract: a warm repeat of `acstab loops` performs
    zero graph rebuilds, visible through the sfg.builds counter and the
    cache.sfg.* family counters. *)
@@ -288,13 +292,33 @@ let test_static_report_warm () =
       (fun (s : Tool.Cache.family_stats) -> s.family = "sfg")
       (Tool.Cache.stats cache)
   in
-  Alcotest.(check int) "two sfg entries resident" 2 sfg.entries
+  Alcotest.(check int) "two sfg entries resident" 2 sfg.entries;
+  (* One static report per deck: a cold all-nodes run — lint gate,
+     analysis and manifest — builds the graph once and lints once, and
+     --no-lint still records the linter's findings from that one build. *)
+  let cold policy =
+    let builds = counter_value "sfg.builds"
+    and lints = counter_value "lint.runs" in
+    match
+      Tool.Pipeline.run ~cache:(Tool.Cache.create ())
+        (Tool.Pipeline.request ~options:loop_options ~policy
+           (Tool.Pipeline.Deck_file "../circuits/two_pole_loop.sp")
+           (Tool.Pipeline.All_nodes None))
+    with
+    | Error f -> Alcotest.fail (Tool.Pipeline.failure_message f)
+    | Ok o ->
+      Alcotest.(check int) "cold run builds the graph once" (builds + 1)
+        (counter_value "sfg.builds");
+      Alcotest.(check int) "cold run lints once" (lints + 1)
+        (counter_value "lint.runs");
+      o.Tool.Pipeline.manifest.Tool.Manifest.lint
+  in
+  let gated = cold Tool.Pipeline.default_lint_policy in
+  let ungated = cold { Tool.Pipeline.no_lint = true; strict = false } in
+  Alcotest.(check string) "--no-lint manifest records the same lint report"
+    (Tool.Json.to_string gated) (Tool.Json.to_string ungated)
 
 (* ---------- --nodes auto: cover-only run matches all-nodes ---------- *)
-
-let loop_options =
-  { Stability.Analysis.default_options with
-    sweep = Numerics.Sweep.decade 1e2 1e8 20 }
 
 let test_auto_matches_all file =
   let cache = Tool.Cache.create () in
