@@ -592,16 +592,15 @@ let run_acplan_bench () =
 (* Compiled kernels: flattened factor/solve programs vs the dense oracle *)
 
 (* What the kernel replays at one frequency: the plan's matrix
-   refactored along its frozen symbolic analysis (a fresh pivoting
-   factorisation where the frozen pivots go stale), then one batched
-   solve. *)
+   refactored along its frozen symbolic analysis (fresh partial
+   pivoting in the frozen column order where the frozen pivots go
+   stale), then one batched solve. *)
 let scmat_replay plan ~omega bs =
   let a = Engine.Ac_plan.matrix_at plan ~omega in
+  let sym = Engine.Ac_plan.symbolic plan in
   let f =
-    try
-      Numerics.Scmat.refactor ~pivot_tol:Engine.Ac_plan.pivot_tol
-        (Engine.Ac_plan.symbolic plan) a
-    with Numerics.Sparse.Singular _ -> snd (Numerics.Scmat.analyze a)
+    try Numerics.Scmat.refactor ~pivot_tol:Engine.Ac_plan.pivot_tol sym a
+    with Numerics.Sparse.Singular _ -> Numerics.Scmat.repivot sym a
   in
   Numerics.Scmat.lu_solve_many f bs
 
@@ -1012,6 +1011,11 @@ let run_scale_bench ~smoke () =
                      Workloads.Synth.mesh_node 16 16;
                      Workloads.Synth.mesh_node 31 0;
                      Workloads.Synth.mesh_node 0 31 ] in
+  (* Each deck carries the LU fill bound nnz(L+U)/nnz(A) its family must
+     keep under the fill-reducing column order: a tree factors without
+     fill, a 2-D mesh cannot, the amplifier arrays stay near the matrix
+     (1.67x measured). *)
+  let tree_fill_bound = 1.5 in
   let workloads =
     if smoke then
       (* One >= 1k-unknown deck at low density: enough for the
@@ -1019,13 +1023,13 @@ let run_scale_bench ~smoke () =
       [ ("mesh_32x32",
          Workloads.Synth.rc_mesh ~rows:32 ~cols:32 (),
          mesh_nodes,
-         Numerics.Sweep.decade 1e4 1e8 3) ]
+         Numerics.Sweep.decade 1e4 1e8 3, 6.0) ]
     else begin
       let tree_n = Workloads.Synth.tree_count ~depth:12 ~fanout:2 in
       [ ("mesh_32x32",
          Workloads.Synth.rc_mesh ~rows:32 ~cols:32 (),
          mesh_nodes,
-         Numerics.Sweep.decade 1e3 1e9 8);
+         Numerics.Sweep.decade 1e3 1e9 8, 6.0);
         ("amp_array_600",
          Workloads.Synth.amp_array ~stages:600 (),
          [ "in"; Workloads.Synth.amp_stage_out 0;
@@ -1033,24 +1037,51 @@ let run_scale_bench ~smoke () =
            Workloads.Synth.amp_stage_out 300;
            Workloads.Synth.amp_stage_out 450;
            Workloads.Synth.amp_stage_out 599 ],
-         Numerics.Sweep.decade 1e3 1e9 6);
+         Numerics.Sweep.decade 1e3 1e9 6, 2.0);
         ("rc_tree_d12_f2",
          Workloads.Synth.rc_tree ~depth:12 ~fanout:2 (),
          [ Workloads.Synth.tree_node 0;
            Workloads.Synth.tree_node (tree_n / 2);
            Workloads.Synth.tree_node (tree_n - 1) ],
-         Numerics.Sweep.decade 1e3 1e9 6) ]
+         Numerics.Sweep.decade 1e3 1e9 6, tree_fill_bound) ]
     end
   in
+  let gauge name =
+    match Obs.Gauge.find name with
+    | Some g -> int_of_float (Obs.Gauge.value g)
+    | None -> 0
+  in
+  (* Compile the deck's kernel and gate its fill against [bound]. *)
+  let compile_gated name probe ~sweep bound =
+    let plan = Stability.Probe.plan probe ~sweep in
+    let kernel = Engine.Kernel.compile plan in
+    let nnz_a = Engine.Ac_plan.nnz plan in
+    let lu_nnz = gauge "kernel.lu_nnz" and lu_madds = gauge "kernel.lu_madds" in
+    let fill = float_of_int lu_nnz /. float_of_int nnz_a in
+    record
+      ~experiment:(Printf.sprintf "Scale fill (%s)" name)
+      ~paper:(Printf.sprintf "nnz(L+U) <= %.1fx nnz(A)" bound)
+      ~measured:
+        (Printf.sprintf "%.2fx (%d / %d), %d madds/point" fill lu_nnz nnz_a
+           lu_madds)
+      (fill <= bound);
+    (kernel, (nnz_a, lu_nnz, lu_madds))
+  in
+  (* The smoke leg's tree sweeps in about 2 ms, too short to time a jobs
+     curve on: it gates fill only. *)
+  if smoke then
+    ignore
+      (compile_gated "rc_tree_d9_f2"
+         (Stability.Probe.prepare
+            (Workloads.Synth.rc_tree ~depth:9 ~fanout:2 ()))
+         ~sweep:(Numerics.Sweep.decade 1e4 1e8 3) tree_fill_bound);
   let saved_jobs = Parallel.Pool.jobs () in
   let results =
     List.map
-      (fun (name, circ, nodes, sweep) ->
+      (fun (name, circ, nodes, sweep, fill_bound) ->
         let probe = Stability.Probe.prepare circ in
         let size = probe.Stability.Probe.mna.Engine.Mna.size in
-        let kernel =
-          Engine.Kernel.compile (Stability.Probe.plan probe ~sweep)
-        in
+        let kernel, lu = compile_gated name probe ~sweep fill_bound in
         let health = Engine.Health.meter () in
         let run ~parallel () =
           Stability.Probe.response_many ~kernel ~parallel ~health probe
@@ -1096,7 +1127,7 @@ let run_scale_bench ~smoke () =
             (Printf.sprintf "%.2fx on %d core(s), identical: %b" speedup4
                cores identical)
           gate_ok;
-        (name, size, nodes, sweep, curve, speedup4, identical))
+        (name, size, nodes, sweep, curve, speedup4, identical, lu))
       workloads
   in
   Parallel.Pool.set_jobs saved_jobs;
@@ -1125,13 +1156,18 @@ let run_scale_bench ~smoke () =
       (scale_speedup_target ~cores)
       (String.concat ",\n"
          (List.map
-            (fun (name, size, nodes, sweep, curve, speedup4, identical) ->
+            (fun (name, size, nodes, sweep, curve, speedup4, identical,
+                  (nnz_a, lu_nnz, lu_madds)) ->
               Printf.sprintf
                 "    { \"workload\": \"%s\", \"unknowns\": %d, \
                  \"nets\": %d, \"points\": %d,\n\
+                \      \"nnz_a\": %d, \"lu_nnz\": %d, \"lu_madds\": %d, \
+                 \"fill\": %.2f,\n\
                 \      \"jobs_curve\": [ %s ],\n\
                 \      \"speedup_at_4\": %.2f, \"seq_par_identical\": %b }"
                 name size (List.length nodes) (Numerics.Sweep.count sweep)
+                nnz_a lu_nnz lu_madds
+                (float_of_int lu_nnz /. float_of_int nnz_a)
                 (String.concat ", "
                    (List.map
                       (fun (j, t) ->

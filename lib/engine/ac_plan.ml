@@ -34,8 +34,8 @@ let size t = t.size
 let nnz t = t.colptr.(t.size)
 
 (* Relative pivot floor below which a frozen pivot order is declared
-   stale for this frequency and the kernel falls back to a fresh pivoting
-   factorisation: bounds element growth (and thus the solve error) at
+   stale for this frequency and the kernel re-pivots along the frozen
+   column order: bounds element growth (and thus the solve error) at
    ~1e6 while keeping fallbacks rare. *)
 let pivot_tol = 1e-6
 

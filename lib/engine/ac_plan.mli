@@ -29,10 +29,11 @@ val matrix_at : t -> omega:float -> Numerics.Scmat.t
 
 val pivot_tol : float
 (** Relative pivot floor under which the frozen pivot order is declared
-    stale for a frequency point; {!Kernel} then falls back to a fresh
-    pivoting factorisation. Refactoring {!matrix_at} along {!symbolic}
-    with [Numerics.Scmat.refactor ~pivot_tol] is exactly the operation
-    the kernel replays. *)
+    stale for a frequency point; {!Kernel} then re-pivots along the
+    frozen column order ([Numerics.Scmat.repivot]). Refactoring
+    {!matrix_at} along {!symbolic} with
+    [Numerics.Scmat.refactor ~pivot_tol] is exactly the operation the
+    kernel replays. *)
 
 val skeleton : t -> int array * int array * float array * float array
 (** [(colptr, rowidx, gvals, cvals)] — the shared CSC skeleton behind

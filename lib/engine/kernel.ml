@@ -34,6 +34,7 @@ type t = {
   gvals : float array;
   cvals : float array;
   (* flattened elimination schedule *)
+  colq : int array;        (* elimination step -> original column *)
   rowperm : int array;     (* pivot position -> original row *)
   pinv : int array;        (* original row -> pivot position *)
   l_ptr : int array;       (* L columns, keyed by pivot column *)
@@ -59,6 +60,11 @@ let n_compiles = Obs.Counter.make "kernel.compiles"
 let n_points = Obs.Counter.make "kernel.points"
 let n_fallback = Obs.Counter.make "kernel.fallback"
 let batch_max_counter = Obs.Counter.make "kernel.batch_max"
+
+(* The fill of the last compiled kernel, as numbers: nnz(L+U) and the
+   multiply-adds one refactorisation performs along the schedule. *)
+let lu_nnz_gauge = Obs.Gauge.make "kernel.lu_nnz"
+let lu_madds_gauge = Obs.Gauge.make "kernel.lu_madds"
 
 let totals () =
   { compiles = Obs.Counter.value n_compiles;
@@ -102,14 +108,26 @@ let compile plan =
     done;
     u_ptr.(j + 1) <- u0 + uj
   done;
+  (* Step j is updated by each dependency column (every U entry but the
+     diagonal): one multiply-add per entry of that L column. *)
+  let madds = ref 0 in
+  for j = 0 to n - 1 do
+    for q = u_ptr.(j) to u_ptr.(j + 1) - 2 do
+      madds := !madds + l_ptr.(u_col.(q) + 1) - l_ptr.(u_col.(q))
+    done
+  done;
   Obs.Counter.incr n_compiles;
+  Obs.Gauge.set lu_nnz_gauge (float_of_int (lnnz + unnz));
+  Obs.Gauge.set lu_madds_gauge (float_of_int !madds);
   let k =
-    { plan; n; colptr; rowidx; gvals; cvals; rowperm;
+    { plan; n; colptr; rowidx; gvals; cvals; colq = sch.Scmat.sched_q;
+      rowperm;
       pinv = sch.Scmat.sched_pinv;
       l_ptr; l_idx; u_ptr; u_col; u_row; lnnz; unnz }
   in
   Obs.Span.leave "kernel.compile"
-    ~args:[ ("unknowns", n); ("lnnz", lnnz); ("unnz", unnz) ]
+    ~args:[ ("unknowns", n); ("lnnz", lnnz); ("unnz", unnz);
+            ("madds", !madds) ]
     t0;
   k
 
@@ -177,11 +195,11 @@ exception Stale
    replay of [Scmat.refactor] with the frozen pivot order. Returns
    [false] (work vector cleared) when the frozen pivots go numerically
    stale at this frequency (where [Scmat.refactor] raises [Singular]) —
-   the caller then falls back to a fresh pivoting factorisation. *)
+   the caller then re-pivots along the frozen column order. *)
 let factor ws ~omega =
   let k = ws.k in
   let n = k.n in
-  let colptr = k.colptr and rowidx = k.rowidx in
+  let colptr = k.colptr and rowidx = k.rowidx and colq = k.colq in
   let gvals = k.gvals and cvals = k.cvals in
   let l_ptr = k.l_ptr and l_idx = k.l_idx in
   let u_ptr = k.u_ptr and u_col = k.u_col and u_row = k.u_row in
@@ -190,8 +208,9 @@ let factor ws ~omega =
   let u_vre = ws.u_vre and u_vim = ws.u_vim in
   try
     for j = 0 to n - 1 do
-      (* Scatter A(:,j) = G(:,j) + jw C(:,j). *)
-      for p = colptr.(j) to colptr.(j + 1) - 1 do
+      (* Scatter A(:,c) = G(:,c) + jw C(:,c), c the step's column. *)
+      let c = Array.unsafe_get colq j in
+      for p = colptr.(c) to colptr.(c + 1) - 1 do
         let r = Array.unsafe_get rowidx p in
         Array.unsafe_set x_re r (Array.unsafe_get gvals p);
         Array.unsafe_set x_im r (omega *. Array.unsafe_get cvals p)
@@ -273,7 +292,7 @@ let factor ws ~omega =
 let solve_batch ws =
   let k = ws.k in
   let n = k.n and m = ws.m in
-  let rowperm = k.rowperm in
+  let rowperm = k.rowperm and colq = k.colq in
   let l_ptr = k.l_ptr and l_idx = k.l_idx in
   let u_ptr = k.u_ptr and u_row = k.u_row in
   let l_vre = ws.l_vre and l_vim = ws.l_vim in
@@ -305,13 +324,14 @@ let solve_batch ws =
     done
   done;
   (* Backward on U (diagonal stored last, entries keyed by pivot
-     position through u_row). *)
+     position through u_row); step kc solves for unknown colq.(kc). *)
   for kc = n - 1 downto 0 do
     let u0 = Array.unsafe_get u_ptr kc in
     let u1 = Array.unsafe_get u_ptr (kc + 1) in
     let dre = Array.unsafe_get u_vre (u1 - 1) in
     let dim = Array.unsafe_get u_vim (u1 - 1) in
     let pr = Array.unsafe_get rowperm kc in
+    let xc = Array.unsafe_get colq kc in
     if m > 1 then begin
       (* One reciprocal per column amortised over the batch. *)
       cdiv ws 1. 0. dre dim;
@@ -323,8 +343,8 @@ let solve_batch ws =
         let wim = Array.unsafe_get w_im pr in
         let xkre = (wre *. idre) -. (wim *. idim) in
         let xkim = (wre *. idim) +. (wim *. idre) in
-        (Array.unsafe_get ws.s_re s).(kc) <- xkre;
-        (Array.unsafe_get ws.s_im s).(kc) <- xkim;
+        (Array.unsafe_get ws.s_re s).(xc) <- xkre;
+        (Array.unsafe_get ws.s_im s).(xc) <- xkim;
         if not (xkre = 0. && xkim = 0.) then
           for q = u0 to u1 - 2 do
             let i = Array.unsafe_get u_row q in
@@ -341,8 +361,8 @@ let solve_batch ws =
       let w_re = ws.w_re.(0) and w_im = ws.w_im.(0) in
       cdiv ws (Array.unsafe_get w_re pr) (Array.unsafe_get w_im pr) dre dim;
       let xkre = ws.q.(0) and xkim = ws.q.(1) in
-      ws.s_re.(0).(kc) <- xkre;
-      ws.s_im.(0).(kc) <- xkim;
+      ws.s_re.(0).(xc) <- xkre;
+      ws.s_im.(0).(xc) <- xkim;
       if not (xkre = 0. && xkim = 0.) then
         for q = u0 to u1 - 2 do
           let i = Array.unsafe_get u_row q in
@@ -391,7 +411,7 @@ let solve1 ws b =
     let pr = k.rowperm.(j) in
     cdiv ws wr.(pr) wi.(pr) ws.u_vre.(d) ws.u_vim.(d);
     let xr = ws.q.(0) and xi = ws.q.(1) in
-    x.(j) <- Cx.make xr xi;
+    x.(k.colq.(j)) <- Cx.make xr xi;
     if not (xr = 0. && xi = 0.) then
       for q = k.u_ptr.(j) to d - 1 do
         let i = k.u_row.(q) and ur = ws.u_vre.(q) and ui = ws.u_vim.(q) in
@@ -401,14 +421,16 @@ let solve1 ws b =
   done;
   x
 
-(* A^T x = b = U^T L^T P: forward on U^T, backward on L^T, un-permute. *)
+(* A^T x = b, Q^T A^T = U^T L^T P: forward on U^T reading b in column
+   order, backward on L^T, un-permute the rows. *)
 let solve1_t ws b =
   let k = ws.k in
   let n = k.n in
   let wr = Array.make n 0. and wi = Array.make n 0. in
   for j = 0 to n - 1 do
     let d = k.u_ptr.(j + 1) - 1 in
-    let ar = ref b.(j).Cx.re and ai = ref b.(j).Cx.im in
+    let bj = b.(k.colq.(j)) in
+    let ar = ref bj.Cx.re and ai = ref bj.Cx.im in
     for q = k.u_ptr.(j) to d - 1 do
       let c = k.u_col.(q) and ur = ws.u_vre.(q) and ui = ws.u_vim.(q) in
       ar := !ar -. ((ur *. wr.(c)) -. (ui *. wi.(c)));
@@ -459,9 +481,9 @@ let point_health ?meter ws ~omega ~x ~b =
     ()
 
 (* One frequency point: flat factor + batched substitution, falling back
-   to a fresh pivoting factorisation ([Scmat.analyze]) when the frozen
-   order is stale here. Health is sampled on the same [Health.tick]
-   cadence as the dense oracle. *)
+   to fresh partial pivoting along the frozen column order
+   ([Scmat.repivot]) when the frozen pivots are stale here. Health is
+   sampled on the same [Health.tick] cadence as the dense oracle. *)
 let solve_point ?health ws ~omega =
   if factor ws ~omega then begin
     solve_batch ws;
@@ -476,7 +498,7 @@ let solve_point ?health ws ~omega =
   else begin
     Obs.Counter.incr n_fallback;
     let a = Ac_plan.matrix_at ws.k.plan ~omega in
-    let f = snd (Scmat.analyze a) in
+    let f = Scmat.repivot (Ac_plan.symbolic ws.k.plan) a in
     let xs = Scmat.lu_solve_many f ws.rhs in
     if ws.m > 0 && Health.tick () then begin
       let rcond = Cond.rcond (Cond.sparse a f) in

@@ -15,8 +15,9 @@
     [Numerics.Scmat.lu_solve_many] (Smith's division, hypot magnitudes,
     sparsity skips, the single-RHS back-substitution form), so its
     results equal that Scmat replay bit for bit; frequencies where the
-    frozen pivot order goes numerically stale fall back to a fresh
-    pivoting factorisation ([Numerics.Scmat.analyze]). Kernels are
+    frozen pivot order goes numerically stale fall back to fresh partial
+    pivoting along the frozen column order ([Numerics.Scmat.repivot]; no
+    second ordering). Kernels are
     immutable after {!compile} and safe to share across Domain-parallel
     workers; all mutable state lives in per-worker {!workspace}s. *)
 
@@ -25,7 +26,9 @@ type t
 val compile : Ac_plan.t -> t
 (** Flatten the plan's symbolic analysis into the kernel program. Cheap
     (array flattening, no factorisation) — but cached per fingerprint by
-    [Tool.Cache] so warm repeats compile nothing at all. *)
+    [Tool.Cache] so warm repeats compile nothing at all. Sets the gauges
+    [kernel.lu_nnz] (nnz(L+U)) and [kernel.lu_madds] (multiply-adds per
+    refactorisation) to this kernel's fill. *)
 
 val size : t -> int
 

@@ -1,9 +1,11 @@
 (** Sparse matrices with LU factorisation over an arbitrary scalar field
-    (left-looking Gilbert-Peierls with partial pivoting). See the
-    implementation header for the algorithm; {!Srmat} and {!Scmat} are the
-    real and complex instantiations. *)
+    (left-looking Gilbert-Peierls with partial pivoting, in a
+    minimum-degree column order computed on the pattern of [A + A^T]).
+    See the implementation header for the algorithm; {!Srmat} and
+    {!Scmat} are the real and complex instantiations. *)
 
 exception Singular of int
+(** No acceptable pivot for the given (original) column. *)
 
 module Make (F : Field.S) : sig
   type elt = F.t
@@ -29,14 +31,17 @@ module Make (F : Field.S) : sig
   type factor
 
   val lu_factor : t -> factor
-  (** Raises {!Singular} when a column has no usable pivot. *)
+  (** [P A Q = L U] with [Q] the fill-reducing column order and [P] from
+      partial pivoting. Raises {!Singular} when a column has no usable
+      pivot. *)
 
   type symbolic
-  (** Frequency-independent part of a factorisation: fill-in pattern of
-      L and U plus the pivot order, frozen by {!analyze}. *)
+  (** Frequency-independent part of a factorisation: column order, fill-in
+      pattern of L and U, and the pivot order, frozen by {!analyze}. *)
 
   val analyze : t -> symbolic * factor
-  (** Pivoting factorisation that also freezes the symbolic analysis.
+  (** Orders the columns, then runs the pivoting factorisation that also
+      freezes the symbolic analysis.
       Every structurally reachable entry is kept (numeric zeros
       included), so the frozen pattern covers the matrix at any other
       parameter value with the same structure. Returns the factor at the
@@ -50,18 +55,27 @@ module Make (F : Field.S) : sig
       {!of_csc} pattern arrays guarantees it). Raises {!Singular} when a
       frozen pivot is exactly zero, non-finite, or — with [pivot_tol]
       > 0 — smaller than [pivot_tol] times the largest eliminated entry
-      of its column; callers fall back to a fresh {!analyze} then. *)
+      of its column; callers fall back to {!repivot} then. *)
+
+  val repivot : symbolic -> t -> factor
+  (** Fresh partial pivoting along the frozen column order of [symbolic]:
+      the fallback where {!refactor} finds the frozen pivots stale. No
+      second ordering is computed. Raises {!Singular} like
+      {!lu_factor}. *)
 
   type schedule = {
     sched_n : int;
+    sched_q : int array;
+    (** elimination step -> original column: step [j] scatters column
+        [sched_q.(j)] of the matrix and solves for unknown [sched_q.(j)] *)
     sched_pinv : int array;     (** original row -> pivot position *)
     sched_rowperm : int array;  (** pivot position -> original row *)
     sched_l : int array array;
-    (** per pivot column: original row indices of the strictly-lower
+    (** per elimination step: original row indices of the strictly-lower
         entries, in elimination storage order *)
     sched_u : int array array;
-    (** per column: dependency pivot positions in ascending order, with
-        the diagonal position appended last — the exact order
+    (** per elimination step: dependency pivot positions in ascending
+        order, with the diagonal position appended last — the exact order
         {!refactor} replays *)
   }
   (** The frozen elimination schedule behind a {!symbolic}, exported as

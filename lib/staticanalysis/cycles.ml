@@ -17,15 +17,16 @@ type bounds = { max_len : int; max_cycles : int }
 let default_bounds = { max_len = 16; max_cycles = 4096 }
 
 (* Tarjan, recursive: the graphs here are netlist-sized (at most a few
-   thousand nets), well inside the OCaml stack. *)
+   thousand nets), well inside the OCaml stack. Components are numbered
+   in the order Tarjan completes them. *)
 let sccs adj =
   let n = Array.length adj in
   let index = Array.make n (-1) in
   let low = Array.make n 0 in
   let on_stack = Array.make n false in
+  let comp = Array.make n (-1) in
   let stack = ref [] in
-  let next = ref 0 in
-  let comps = ref [] in
+  let next = ref 0 and ncomp = ref 0 in
   let rec connect v =
     index.(v) <- !next;
     low.(v) <- !next;
@@ -41,49 +42,76 @@ let sccs adj =
         else if on_stack.(w) && index.(w) < low.(v) then low.(v) <- index.(w))
       adj.(v);
     if low.(v) = index.(v) then begin
-      let rec pop acc =
+      let rec pop () =
         match !stack with
         | w :: rest ->
           stack := rest;
           on_stack.(w) <- false;
-          if w = v then w :: acc else pop (w :: acc)
-        | [] -> acc
+          comp.(w) <- !ncomp;
+          if w <> v then pop ()
+        | [] -> ()
       in
-      comps := List.sort compare (pop []) :: !comps
+      pop ();
+      incr ncomp
     end
   in
   for v = 0 to n - 1 do
     if index.(v) < 0 then connect v
   done;
-  List.sort compare !comps
+  comp
 
 let enumerate ?(bounds = default_bounds) adj =
   let n = Array.length adj in
   let adj = Array.map (fun l -> List.sort_uniq compare l) adj in
+  let pred = Array.make n [] in
+  Array.iteri (fun v ws -> List.iter (fun w -> pred.(w) <- v :: pred.(w)) ws) adj;
+  let comp = sccs adj in
   let cycles = ref [] in
   let count = ref 0 in
   let truncated = ref false in
+  (* Scratch shared by every start: the reach marks hold the start that
+     set them, so they need no reset; [blocked] and [bsets] are cleared
+     over the start's component after its search. *)
+  let fwd = Array.make n (-1) and bwd = Array.make n (-1) in
+  let blocked = Array.make n false in
+  let bsets = Array.make n [] in
+  (* Vertices >= s of s's component that [next] reaches from s, marked
+     with s in [mark]. *)
+  let reach s mark next =
+    mark.(s) <- s;
+    let seen = ref [ s ] in
+    let rec go = function
+      | [] -> ()
+      | v :: stack ->
+        go
+          (List.fold_left
+             (fun stack w ->
+               if w >= s && comp.(w) = comp.(s) && mark.(w) <> s then begin
+                 mark.(w) <- s;
+                 seen := w :: !seen;
+                 w :: stack
+               end
+               else stack)
+             stack next.(v))
+    in
+    go [ s ];
+    !seen
+  in
   (* Every cycle is enumerated at s = its minimum vertex: the search
      for start [s] runs inside the subgraph induced on vertices >= s,
-     restricted to the SCC containing s (a cycle through s cannot
-     leave it). *)
+     restricted to the SCC containing s there (a cycle through s cannot
+     leave it). That SCC is the forward-and-backward reach of s inside
+     s's SCC of the whole graph, so each start walks its own component
+     only, and a start in a trivial component costs its degree. Starts
+     stay in ascending order, which fixes which cycles a [max_cycles]
+     cut keeps. *)
   for s = 0 to n - 1 do
-    let sub = Array.make n [] in
-    for v = s to n - 1 do
-      sub.(v) <- List.filter (fun w -> w >= s) adj.(v)
-    done;
-    let comp =
-      match List.find_opt (List.mem s) (sccs sub) with
-      | Some c -> c
-      | None -> [ s ]
-    in
-    let in_comp = Array.make n false in
-    List.iter (fun v -> in_comp.(v) <- true) comp;
-    if List.exists (fun w -> in_comp.(w)) sub.(s) then begin
+    let forward = reach s fwd adj in
+    ignore (reach s bwd pred);
+    let in_comp w = fwd.(w) = s && bwd.(w) = s in
+    if List.exists in_comp adj.(s) then begin
       if !count >= bounds.max_cycles then truncated := true
       else begin
-        let blocked = Array.make n false in
-        let bsets = Array.make n [] in
         let path = ref [] in
         let rec unblock v =
           if blocked.(v) then begin
@@ -100,7 +128,7 @@ let enumerate ?(bounds = default_bounds) adj =
           blocked.(v) <- true;
           List.iter
             (fun w ->
-              if in_comp.(w) then begin
+              if in_comp w then begin
                 if !count >= bounds.max_cycles then begin
                   truncated := true;
                   found := true
@@ -118,18 +146,23 @@ let enumerate ?(bounds = default_bounds) adj =
                   else if circuit w (depth + 1) then found := true
                 end
               end)
-            sub.(v);
+            adj.(v);
           if !found then unblock v
           else
             List.iter
               (fun w ->
-                if in_comp.(w) && not (List.mem v bsets.(w)) then
+                if in_comp w && not (List.mem v bsets.(w)) then
                   bsets.(w) <- v :: bsets.(w))
-              sub.(v);
+              adj.(v);
           path := List.tl !path;
           !found
         in
-        ignore (circuit s 1)
+        ignore (circuit s 1);
+        List.iter
+          (fun v ->
+            blocked.(v) <- false;
+            bsets.(v) <- [])
+          forward
       end
     end
   done;

@@ -128,14 +128,10 @@ let analyze ?(bounds = default_bounds) circ =
         Obs.Counter.incr n_builds;
         Sfg.build circ)
   in
-  let loops, truncated =
+  let scc_of, loops, truncated =
     Obs.Span.with_ "sfg.cycles" (fun () ->
         let adj = Sfg.succ g in
-        let n = Array.length adj in
-        let scc_of = Array.make n (-1) in
-        List.iteri
-          (fun i comp -> List.iter (fun v -> scc_of.(v) <- i) comp)
-          (Cycles.sccs adj);
+        let scc_of = Cycles.sccs adj in
         (* An SCC is worth enumerating only when a gain edge lives
            inside it: a purely passive mesh has (many) cycles but no
            feedback. *)
@@ -162,7 +158,7 @@ let analyze ?(bounds = default_bounds) circ =
                  | 0 -> compare a.id b.id
                  | c -> c)
         in
-        (loops, truncated))
+        (scc_of, loops, truncated))
   in
   let cover =
     Obs.Span.with_ "sfg.cover" (fun () -> greedy_cover loops)
@@ -179,12 +175,6 @@ let analyze ?(bounds = default_bounds) circ =
       (Sfg.reachable_from_sources g)
   in
   let open_gain =
-    let adj = Sfg.succ g in
-    let n = Array.length adj in
-    let scc_of = Array.make n (-1) in
-    List.iteri
-      (fun i comp -> List.iter (fun v -> scc_of.(v) <- i) comp)
-      (Cycles.sccs adj);
     let in_loop = Hashtbl.create 16 in
     List.iter
       (fun (e : Sfg.edge) ->

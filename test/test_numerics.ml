@@ -271,6 +271,37 @@ let prop_symbolic_reuse =
             xs bs)
         omegas)
 
+(* The fill-reducing column order is a permutation of the columns, the
+   same on every run over the same pattern, and fresh partial pivoting
+   along it (the kernel's stale-pivot fallback) still solves the
+   system. *)
+let prop_column_order =
+  QCheck.Test.make
+    ~name:"column order: deterministic permutation, repivot solves"
+    ~count:60
+    QCheck.(pair (int_range 1 40) (int_range 0 100_000))
+    (fun (n, seed) ->
+      let st = Random.State.make [| seed; n; 97 |] in
+      let colptr, rowidx, gvals, cvals = random_gc_skeleton st n in
+      let a =
+        Scmat.of_csc ~rows:n ~cols:n ~colptr ~rowidx
+          (Array.mapi
+             (fun p g -> Complex.{ re = g; im = 2e6 *. cvals.(p) })
+             gvals)
+      in
+      let sym, _ = Scmat.analyze a in
+      let q = (Scmat.schedule_of sym).Scmat.sched_q in
+      let again = (Scmat.schedule_of (fst (Scmat.analyze a))).Scmat.sched_q in
+      let sorted = Array.copy q in
+      Array.sort compare sorted;
+      let b =
+        Array.init n (fun k -> Complex.{ re = float_of_int k; im = 1. })
+      in
+      sorted = Array.init n Fun.id
+      && q = again
+      && Scmat.residual_inf a (Scmat.lu_solve (Scmat.repivot sym a) b) b
+         < 1e-9)
+
 (* ---------- condition estimation ---------- *)
 
 let random_dense_complex st n =
@@ -855,7 +886,7 @@ let () =
            test_sparse_duplicates_summed ]);
       qsuite "sparse-props"
         [ prop_sparse_lu_random; prop_sparse_matches_dense;
-          prop_sparse_complex; prop_symbolic_reuse ];
+          prop_sparse_complex; prop_symbolic_reuse; prop_column_order ];
       ("cond",
        [ Alcotest.test_case "ill-conditioned rcond" `Quick
            test_cond_ill_conditioned;

@@ -648,15 +648,15 @@ let check_waves_bit_identical label a b =
     a b
 
 (* What the kernel replays at one frequency: refactor the plan's matrix
-   along its frozen symbolic analysis (a fresh pivoting factorisation
-   where the frozen pivots go stale), then one batched solve. *)
+   along its frozen symbolic analysis (fresh partial pivoting in the
+   frozen column order where the frozen pivots go stale), then one
+   batched solve. *)
 let scmat_replay plan ~omega bs =
   let a = Engine.Ac_plan.matrix_at plan ~omega in
+  let sym = Engine.Ac_plan.symbolic plan in
   let f =
-    try
-      Numerics.Scmat.refactor ~pivot_tol:Engine.Ac_plan.pivot_tol
-        (Engine.Ac_plan.symbolic plan) a
-    with Numerics.Sparse.Singular _ -> snd (Numerics.Scmat.analyze a)
+    try Numerics.Scmat.refactor ~pivot_tol:Engine.Ac_plan.pivot_tol sym a
+    with Numerics.Sparse.Singular _ -> Numerics.Scmat.repivot sym a
   in
   Numerics.Scmat.lu_solve_many f bs
 
@@ -798,6 +798,55 @@ let test_kernel_health_matches_scmat () =
         [ ("opamp", Workloads.Opamp_2mhz.buffer ());
           ("nmc", Workloads.Nmc_amp.buffer ());
           ("mesh", Workloads.Synth.rc_mesh ~rows:3 ~cols:4 ()) ])
+
+(* Where the frozen pivots go stale the kernel re-pivots along the
+   frozen column order, and that path too is bit for bit the Scmat
+   replay. Net x pivots on its 1 F capacitor at the 1 MHz analysis
+   point; the resistor triangle keeps y's degree above x's, so column x
+   is eliminated while row y is still free, and at 1e-3 rad/s the
+   capacitor's 1e-3 sits against the 1e4 gm entry of row y, far under
+   the relative pivot floor. *)
+let test_kernel_bits_stale_pivot () =
+  let circ =
+    Circuit.Parser.parse_string
+      "* stale frozen pivot\n\
+       V1 in 0 AC 1\n\
+       R1 in x 1k\n\
+       C1 x 0 1\n\
+       G1 y 0 x 0 1e4\n\
+       R2 y z 1k\n\
+       R3 z w 1k\n\
+       R4 w y 1k\n\
+       C2 z 0 1n\n\
+       C3 w 0 1n\n"
+  in
+  let probe = Stability.Probe.prepare circ in
+  let plan =
+    Stability.Probe.plan probe ~sweep:(Numerics.Sweep.decade 1e3 1e9 5)
+  in
+  let kern = Engine.Kernel.compile plan in
+  let size = Engine.Ac_plan.size plan in
+  let bs = Array.init size (unit_rhs size) in
+  List.iter
+    (fun omega ->
+      let before = (Engine.Kernel.totals ()).Engine.Kernel.fallback in
+      let xs = Engine.Kernel.solve_many kern ~omega bs in
+      let x1 = Engine.Kernel.solve_many kern ~omega [| bs.(0) |] in
+      Alcotest.(check int)
+        (Printf.sprintf "re-pivots at omega %g" omega)
+        2
+        ((Engine.Kernel.totals ()).Engine.Kernel.fallback - before);
+      let same xs ys =
+        Array.for_all2
+          (Array.for_all2 (fun a b -> complex_bits a = complex_bits b))
+          xs ys
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "bit-identical to the Scmat replay at omega %g" omega)
+        true
+        (same (scmat_replay plan ~omega bs) xs
+         && same (scmat_replay plan ~omega [| bs.(0) |]) x1))
+    [ 1e-3; 1e-4 ]
 
 (* Chunked pooled execution writes disjoint cells and never enters the
    arithmetic, so parallel kernel sweeps are bit-identical to
@@ -958,6 +1007,8 @@ let () =
            `Quick
            test_kernel_bits_shipped_decks;
          QCheck_alcotest.to_alcotest prop_kernel_bits_synth;
+         Alcotest.test_case "stale pivots re-pivot, bit-identical" `Quick
+           test_kernel_bits_stale_pivot;
          Alcotest.test_case "parallel = sequential, bit for bit" `Quick
            test_kernel_seq_par_identical;
          Alcotest.test_case "sampled health = Scmat factor health" `Quick

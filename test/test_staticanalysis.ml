@@ -52,17 +52,123 @@ let random_graph n seed =
         (fun _ -> Random.State.float st 1.0 < p)
         (List.init n Fun.id))
 
+(* [random_graph] padded the ways signal-flow graphs are: isolated
+   vertices below it, so its cycles sit at high indices, and above it a
+   bidirectional chain (an SCC of two-cycles, like a passive RC path)
+   fed one way from the random part. *)
+let padded_graph n seed =
+  let iso = seed mod 5 and chain = 2 + (seed / 5 mod 3) in
+  let adj = Array.make (iso + n + chain) [] in
+  Array.iteri
+    (fun v ws -> adj.(iso + v) <- List.map (( + ) iso) ws)
+    (random_graph n seed);
+  let c0 = iso + n in
+  for k = 0 to chain - 2 do
+    adj.(c0 + k) <- (c0 + k + 1) :: adj.(c0 + k);
+    adj.(c0 + k + 1) <- (c0 + k) :: adj.(c0 + k + 1)
+  done;
+  adj.(iso) <- c0 :: adj.(iso);
+  adj
+
 let prop_johnson_vs_brute =
   QCheck.Test.make
     ~name:"Johnson's enumeration agrees with brute force (n <= 8)"
     ~count:300
     QCheck.(pair (int_range 1 8) (int_range 0 1_000_000))
     (fun (n, seed) ->
-      let adj = random_graph n seed in
-      let bounds = { Staticanalysis.Cycles.max_len = 8;
+      let adj =
+        if seed mod 2 = 0 then random_graph n seed else padded_graph n seed
+      in
+      let bounds = { Staticanalysis.Cycles.max_len = Array.length adj;
                      max_cycles = 100_000 } in
       let cycles, truncated = Staticanalysis.Cycles.enumerate ~bounds adj in
       (not truncated) && cycles = brute_cycles adj)
+
+(* The search before it was restricted to components: for every start s,
+   an SCC pass over the whole subgraph on {v >= s}, then Johnson's
+   blocked search inside s's component. Quadratic in the graph; kept as
+   the reference whose cycles and truncation flag the restricted search
+   must reproduce exactly under any bounds. *)
+let reference_enumerate ~(bounds : Staticanalysis.Cycles.bounds) adj =
+  let n = Array.length adj in
+  let adj = Array.map (List.sort_uniq compare) adj in
+  let cycles = ref [] and count = ref 0 and truncated = ref false in
+  for s = 0 to n - 1 do
+    let sub =
+      Array.mapi
+        (fun v ws -> if v < s then [] else List.filter (fun w -> w >= s) ws)
+        adj
+    in
+    let label = Staticanalysis.Cycles.sccs sub in
+    let in_comp = Array.map (fun l -> l = label.(s)) label in
+    if List.exists (fun w -> in_comp.(w)) sub.(s) then begin
+      if !count >= bounds.max_cycles then truncated := true
+      else begin
+        let blocked = Array.make n false and bsets = Array.make n [] in
+        let path = ref [] in
+        let rec unblock v =
+          if blocked.(v) then begin
+            blocked.(v) <- false;
+            let bs = bsets.(v) in
+            bsets.(v) <- [];
+            List.iter unblock bs
+          end
+        in
+        let rec circuit v depth =
+          let found = ref false in
+          path := v :: !path;
+          blocked.(v) <- true;
+          List.iter
+            (fun w ->
+              if in_comp.(w) then begin
+                if !count >= bounds.max_cycles then begin
+                  truncated := true;
+                  found := true
+                end
+                else if w = s then begin
+                  cycles := List.rev !path :: !cycles;
+                  incr count;
+                  found := true
+                end
+                else if not blocked.(w) then begin
+                  if depth >= bounds.max_len then begin
+                    truncated := true;
+                    found := true
+                  end
+                  else if circuit w (depth + 1) then found := true
+                end
+              end)
+            sub.(v);
+          if !found then unblock v
+          else
+            List.iter
+              (fun w ->
+                if in_comp.(w) && not (List.mem v bsets.(w)) then
+                  bsets.(w) <- v :: bsets.(w))
+              sub.(v);
+          path := List.tl !path;
+          !found
+        in
+        ignore (circuit s 1)
+      end
+    end
+  done;
+  (List.sort compare !cycles, !truncated)
+
+let prop_truncation_matches_reference =
+  QCheck.Test.make
+    ~name:"bounded runs: same cycles and flag as the unrestricted search"
+    ~count:300
+    QCheck.(
+      quad (int_range 1 8) (int_range 0 1_000_000) (int_range 1 30)
+        (int_range 1 6))
+    (fun (n, seed, max_cycles, max_len) ->
+      let adj =
+        if seed mod 2 = 0 then random_graph n seed else padded_graph n seed
+      in
+      let bounds = { Staticanalysis.Cycles.max_len; max_cycles } in
+      Staticanalysis.Cycles.enumerate ~bounds adj
+      = reference_enumerate ~bounds adj)
 
 let test_cycles_bounds () =
   (* A complete digraph on 6 vertices has 409 elementary cycles; a
@@ -487,7 +593,8 @@ let () =
   Alcotest.run "staticanalysis"
     [ ( "cycles",
         Alcotest.test_case "enumeration bounds" `Quick test_cycles_bounds
-        :: List.map QCheck_alcotest.to_alcotest [ prop_johnson_vs_brute ] );
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_johnson_vs_brute; prop_truncation_matches_reference ] );
       ( "cover",
         [ Alcotest.test_case "ladder" `Quick test_cover_ladder;
           Alcotest.test_case "mesh" `Quick test_cover_mesh;

@@ -119,7 +119,7 @@ let test_amp_seq_par () =
 (* Fresh caches on both sides: the run cache deliberately excludes the
    parallel mode from its fingerprint, so a shared cache would hand the
    second run the first run's results and prove nothing. *)
-let manifest_for parallel name circ nodes =
+let manifest_for options name circ nodes =
   let cache = Tool.Cache.create () in
   let loaded =
     match
@@ -130,16 +130,15 @@ let manifest_for parallel name circ nodes =
                    (Tool.Pipeline.failure_message f)
   in
   let outcome =
-    Tool.Pipeline.analyze_exn ~cache ~options:(fast_options parallel)
-      loaded
+    Tool.Pipeline.analyze_exn ~cache ~options loaded
       (Tool.Pipeline.All_nodes (Some nodes))
   in
   outcome.Tool.Pipeline.manifest
 
 let check_manifests_clean name circ nodes =
-  let m_seq = manifest_for `Seq name circ nodes in
+  let m_seq = manifest_for (fast_options `Seq) name circ nodes in
   with_real_workers 4 (fun () ->
-      let m_par = manifest_for `Par name circ nodes in
+      let m_par = manifest_for (fast_options `Par) name circ nodes in
       let changes = Tool.Manifest.diff m_seq m_par in
       Alcotest.(check int)
         (name ^ ": manifest diff seq vs par clean")
@@ -155,6 +154,78 @@ let test_amp_manifest () =
     (Workloads.Synth.amp_array ~stages:3 ())
     (List.init 3 Workloads.Synth.amp_stage_out)
 
+(* ---------- fill-reducing order: fill and answers ---------- *)
+
+(* The column order keeps LU fill near nnz(A) on the generator families,
+   and Kernel.compile exports that fill: kernel.lu_nnz is nnz(L+U) of the
+   schedule, kernel.lu_madds the multiply-adds of one refactorisation
+   along it. *)
+let test_lu_fill () =
+  let gauge name =
+    match Obs.Gauge.find name with
+    | Some g -> Obs.Gauge.value g
+    | None -> Float.nan
+  in
+  List.iter
+    (fun (label, circ, bound) ->
+      let probe = Stability.Probe.prepare circ in
+      let plan =
+        Engine.Ac_plan.compile ~op:probe.Stability.Probe.op
+          probe.Stability.Probe.mna
+      in
+      ignore (Engine.Kernel.compile plan);
+      let sch = Numerics.Scmat.schedule_of (Engine.Ac_plan.symbolic plan) in
+      let len = Array.length in
+      let total cols = Array.fold_left (fun a c -> a + len c) 0 cols in
+      let nnz_lu = total sch.sched_l + total sch.sched_u in
+      let madds =
+        Array.fold_left
+          (fun a u ->
+            let s = ref a in
+            for q = 0 to len u - 2 do
+              s := !s + len sch.sched_l.(u.(q))
+            done;
+            !s)
+          0 sch.sched_u
+      in
+      Alcotest.(check (float 0.)) (label ^ ": kernel.lu_nnz")
+        (float_of_int nnz_lu) (gauge "kernel.lu_nnz");
+      Alcotest.(check (float 0.)) (label ^ ": kernel.lu_madds")
+        (float_of_int madds) (gauge "kernel.lu_madds");
+      let fill =
+        float_of_int nnz_lu /. float_of_int (Engine.Ac_plan.nnz plan)
+      in
+      if fill > bound then
+        Alcotest.failf "%s: fill nnz(L+U)/nnz(A) = %.2f > %.1f" label fill
+          bound)
+    [ ("rc_tree depth 10", Workloads.Synth.rc_tree ~depth:10 ~fanout:2 (),
+       1.5);
+      ("rc_mesh 32x32", Workloads.Synth.rc_mesh ~rows:32 ~cols:32 (), 6.) ]
+
+(* The reordered kernel answers like the dense oracle, within the
+   tolerance `acstab diff` applies. *)
+let check_matches_dense name circ nodes =
+  let dense =
+    manifest_for
+      { (fast_options `Seq) with Stability.Analysis.backend = `Dense }
+      name circ nodes
+  in
+  let kernel = manifest_for (fast_options `Seq) name circ nodes in
+  Alcotest.(check (list string)) (name ^ ": acstab diff vs dense clean") []
+    (List.map (Format.asprintf "%a" Tool.Manifest.pp_change)
+       (Tool.Manifest.diff dense kernel))
+
+let test_mesh_matches_dense () =
+  check_matches_dense "synth_mesh_8x8"
+    (Workloads.Synth.rc_mesh ~rows:8 ~cols:8 ())
+    [ Workloads.Synth.mesh_node 0 0; Workloads.Synth.mesh_node 3 5;
+      Workloads.Synth.mesh_node 7 7 ]
+
+let test_amp_matches_dense () =
+  check_matches_dense "synth_amp_6"
+    (Workloads.Synth.amp_array ~stages:6 ())
+    ("in" :: List.init 6 Workloads.Synth.amp_stage_out)
+
 let () =
   Alcotest.run "synth"
     [ ( "well-formed",
@@ -167,4 +238,10 @@ let () =
           Alcotest.test_case "amp bit-identical" `Quick test_amp_seq_par ] );
       ( "manifests",
         [ Alcotest.test_case "mesh diff-clean" `Quick test_mesh_manifest;
-          Alcotest.test_case "amp diff-clean" `Quick test_amp_manifest ] ) ]
+          Alcotest.test_case "amp diff-clean" `Quick test_amp_manifest ] );
+      ( "fill",
+        [ Alcotest.test_case "tree and mesh fill bounds" `Quick test_lu_fill;
+          Alcotest.test_case "mesh matches dense oracle" `Quick
+            test_mesh_matches_dense;
+          Alcotest.test_case "amp matches dense oracle" `Quick
+            test_amp_matches_dense ] ) ]
