@@ -591,6 +591,12 @@ let run_acplan_bench () =
 (* ------------------------------------------------------------------ *)
 (* Compiled kernels: flattened factor/solve programs vs the dense oracle *)
 
+(* A work-counter gauge as an integer (0 when never set). *)
+let gauge name =
+  match Obs.Gauge.find name with
+  | Some g -> int_of_float (Obs.Gauge.value g)
+  | None -> 0
+
 (* What the kernel replays at one frequency: the plan's matrix
    refactored along its frozen symbolic analysis (fresh partial
    pivoting in the frozen column order where the frozen pivots go
@@ -633,7 +639,8 @@ let replay_sweep probe ~sweep nodes =
 (* The kernel is the only compiled solve path, so besides the
    throughput gate against the dense oracle everything here is exact:
    bit identity against the Scmat operations it replays, sequential =
-   parallel, and the compile/point counter budget. *)
+   parallel, the compile/point counter budget, and the selected
+   solve's multiply-add counts. *)
 let run_kernel_bench ~smoke () =
   section "Compiled kernels -- flattened solve programs vs the dense oracle";
   let opamp = Workloads.Opamp_2mhz.buffer () in
@@ -752,6 +759,75 @@ let run_kernel_bench ~smoke () =
       (Printf.sprintf "%d compiles, %d points, %d warm" d_compiles d_points
          warm_extra)
     (d_compiles = 1 && d_points = points && d_fb = 0 && warm_extra = 0);
+
+  (* Work counters of the selected solve: substitution multiply-adds per
+     point ([kernel.solve_madds]) against the full solve's m (nnz(L+U)
+     - n), on the synth_scale decks and the op-amp. Counts, not
+     timings, so they are exact on any host. *)
+  let solve_counts circ nets =
+    let probe = Stability.Probe.prepare circ in
+    let kern =
+      Engine.Kernel.compile
+        (Stability.Probe.plan probe ~sweep:(Numerics.Sweep.decade 1e3 1e9 6))
+    in
+    let n = Engine.Kernel.size kern in
+    let lu_nnz = gauge "kernel.lu_nnz" in
+    let sel =
+      Array.of_list
+        (List.map (Engine.Mna.node_index probe.Stability.Probe.mna) nets)
+    in
+    let rhs =
+      Array.map
+        (fun i ->
+          let b = Array.make n Numerics.Cx.zero in
+          b.(i) <- Numerics.Cx.one;
+          b)
+        sel
+    in
+    ignore (Engine.Kernel.select kern ~rhs ~sel);
+    (Array.length sel * (lu_nnz - n), gauge "kernel.solve_madds")
+  in
+  let tree = Workloads.Synth.rc_tree ~depth:8 ~fanout:2 () in
+  let inner = Workloads.Synth.tree_count ~depth:7 ~fanout:2 in
+  let amp = Workloads.Synth.amp_array ~stages:40 () in
+  (* Each deck with the counts it must reproduce; the amplifier array's
+     cover selection must also cost at most 0.3x the full solve. *)
+  let work =
+    [ ("synth tree d8f2, 3 leaves",
+       tree,
+       List.map (fun i -> Workloads.Synth.tree_node (inner + i)) [ 0; 100; 255 ],
+       (3063, 72), None);
+      ("synth amp_array_40, cover",
+       amp, (Staticanalysis.Report.analyze amp).Staticanalysis.Report.cover,
+       (36800, 9074), Some 0.3);
+      ("synth mesh 16x16, 3 nets",
+       Workloads.Synth.rc_mesh ~rows:16 ~cols:16 (),
+       List.map (fun i -> Workloads.Synth.mesh_node (5 + i) (10 - i))
+         [ 0; 1; 2 ],
+       (11019, 3853), None);
+      ("opamp_2mhz buffer, all nets", opamp, all, (819, 390), None) ]
+  in
+  Printf.printf "substitution multiply-adds per point:\n%-30s %10s %10s %7s\n"
+    "deck" "full" "selected" "ratio";
+  List.iter
+    (fun (name, circ, nets, (want_full, want_sel), bound) ->
+      let full, sel = solve_counts circ nets in
+      let ratio = float_of_int sel /. float_of_int full in
+      Printf.printf "%-30s %10d %10d %7.3f\n" name full sel ratio;
+      record
+        ~experiment:(Printf.sprintf "Kernel (solve madds, %s)" name)
+        ~paper:(Printf.sprintf "%d full, %d selected" want_full want_sel)
+        ~measured:(Printf.sprintf "%d full, %d selected" full sel)
+        (full = want_full && sel = want_sel);
+      Option.iter
+        (fun b ->
+          record
+            ~experiment:(Printf.sprintf "Kernel (selected solve, %s)" name)
+            ~paper:(Printf.sprintf "<= %.1fx the full solve" b)
+            ~measured:(Printf.sprintf "%.3fx" ratio)
+            (ratio <= b))
+        bound)
+    work;
 
   (* Peak equivalence through the full analysis pipeline (coarse sweep +
      zoom refinement) against the dense oracle, within 0.1%. *)
@@ -1045,11 +1121,6 @@ let run_scale_bench ~smoke () =
            Workloads.Synth.tree_node (tree_n - 1) ],
          Numerics.Sweep.decade 1e3 1e9 6, tree_fill_bound) ]
     end
-  in
-  let gauge name =
-    match Obs.Gauge.find name with
-    | Some g -> int_of_float (Obs.Gauge.value g)
-    | None -> 0
   in
   (* Compile the deck's kernel and gate its fill against [bound]. *)
   let compile_gated name probe ~sweep bound =

@@ -232,15 +232,15 @@ let obs_term =
   Term.(const setup $ trace $ metrics $ log)
 
 (* [--health-sample N] tunes how often the solver layer pays for a
-   condition estimate (every Nth factorisation); unit-valued so it
+   condition estimate (every Nth point of each sweep); unit-valued so it
    composes like [jobs_term]. *)
 let health_term =
   let sample =
     Arg.(value & opt (some int) None
          & info [ "health-sample" ] ~docv:"N"
              ~doc:"Record factorisation health (rcond, pivot growth, \
-                   residual) every $(docv)th frequency point (default \
-                   16; 1 = every point).")
+                   residual) every $(docv)th frequency point of each \
+                   sweep (default 16; 1 = every point).")
   in
   Term.(const (fun n -> Option.iter Engine.Health.set_sample_every n)
         $ sample)

@@ -123,14 +123,14 @@ let run_compiled ?op ?(gmin = 1e-12) ?(backend = `Auto) ~sweep mna =
     match backend with
     | `Dense ->
       let prims = Linearize.of_op op in
-      Array.map
-        (fun f ->
+      Array.mapi
+        (fun k f ->
           let w = 2. *. Float.pi *. f in
           let a = Cmat.create mna.Mna.size mna.Mna.size in
           matrix_at mna prims ~gmin ~w a;
           let lu = Cmat.lu_factor a in
           let x = Cmat.lu_solve lu b0 in
-          if Health.tick () then dense_health a lu ~x ~b:b0;
+          if Health.sampled k then dense_health a lu ~x ~b:b0;
           x)
         freqs
     | `Auto ->
@@ -141,9 +141,10 @@ let run_compiled ?op ?(gmin = 1e-12) ?(backend = `Auto) ~sweep mna =
           *. sqrt (freqs.(0) *. freqs.(Array.length freqs - 1))
       in
       let kern = Kernel.compile (Ac_plan.compile ~gmin ~omega_ref ~op mna) in
-      Array.map
-        (fun f ->
-          (Kernel.solve_many kern ~omega:(2. *. Float.pi *. f) [| b0 |]).(0))
+      Array.mapi
+        (fun k f ->
+          (Kernel.solve_many ~point:k kern ~omega:(2. *. Float.pi *. f)
+             [| b0 |]).(0))
         freqs
   in
   { mna; op; freqs; solutions }

@@ -2,8 +2,8 @@
    silently lose digits — stale frozen pivots, a near-singular MNA at a
    sweep corner, a gmin-dominated node — and the downstream peak numbers
    would print with full confidence. This module samples the health of
-   the hot loop (every Nth factorisation, default 16, so the loop stays
-   hot) into process-wide histograms, and optionally into a per-sweep
+   the hot loop (every Nth point of a sweep, default 16, so the loop
+   stays hot) into process-wide histograms, and optionally into a per-sweep
    [meter] whose worst-case values the stability layer turns into a
    per-node quality grade.
 
@@ -16,11 +16,12 @@ let interval = Atomic.make default_sample_every
 let set_sample_every n = Atomic.set interval (max 1 n)
 let sample_every () = Atomic.get interval
 
-(* One process-wide tick stream: with K domains interleaving, each still
-   lands every ~Nth of its own points on average, which is all the
-   sampling needs. *)
-let ticks = Atomic.make 0
-let tick () = Atomic.fetch_and_add ticks 1 mod Atomic.get interval = 0
+(* Point [i] of a sweep is sampled when [i] is a multiple of the
+   interval: which points are priced depends on the sweep alone, not on
+   how many factorisations the process (or a pooled worker) ran before
+   it, so sequential and pooled runs, and a daemon's repeated requests,
+   record the same values. *)
+let sampled i = i mod Atomic.get interval = 0
 
 let h_rcond = Obs.Histogram.make "health.rcond"
 let h_growth = Obs.Histogram.make "health.pivot_growth"

@@ -1,8 +1,9 @@
 (** Sampled numerical-health recording for the solve paths.
 
-    Every Nth factorisation (default 16, [--health-sample] on the CLI)
-    the engine estimates the factor's reciprocal condition number,
-    element growth and a scaled solve residual, recording them into the
+    Every Nth point of a sweep (default 16, [--health-sample] on the
+    CLI; see {!sampled}) the engine estimates the factor's reciprocal
+    condition number, element growth and a scaled solve residual,
+    recording them into the
     process-wide histograms [health.rcond], [health.pivot_growth] and
     [health.residual] — and, when the caller passes a {!meter}, into
     per-sweep worst-case cells that the stability layer grades nodes
@@ -16,8 +17,11 @@ val set_sample_every : int -> unit
 
 val sample_every : unit -> int
 
-val tick : unit -> bool
-(** Advance the process-wide sample clock; true on sampled ticks. *)
+val sampled : int -> bool
+(** [sampled i]: true when point [i] of a sweep (its index within that
+    sweep) is health-sampled, i.e. a multiple of {!sample_every}. The
+    choice depends on the sweep alone, so sequential, pooled and
+    repeated runs sample the same points. *)
 
 type meter
 (** Worst-case health accumulator for one logical unit of work (a

@@ -23,7 +23,14 @@ open Numerics
    (divide by the diagonal rather than multiply by its reciprocal).
    Frequency points are batched: one [run] invocation advances a whole
    chunk of the sweep against one workspace, so chunk dispatch cost is
-   amortised and Domain-parallel chunks write disjoint output cells. *)
+   amortised and Domain-parallel chunks write disjoint output cells.
+
+   A probe sweep reads one component of each solution (the probed net's
+   own response), so each right-hand side is substituted only over the
+   pivot steps that component can see: its forward reach in L from the
+   excitation's rows, and the backward reach in U of its own unknown
+   (see [select]). The full solve is the all-steps case of the same
+   substitution body. *)
 
 type t = {
   plan : Ac_plan.t;        (* fallback + sampled-health path *)
@@ -42,8 +49,19 @@ type t = {
   u_ptr : int array;       (* U columns: deps ascending, diagonal last *)
   u_col : int array;       (* dependency pivot position (diag slot: j) *)
   u_row : int array;       (* rowperm.(u_col), the work cell it names *)
+  ur_ptr : int array;      (* U rows: pivot position p -> the later *)
+  ur_col : int array;      (*   steps whose column holds a dep on p *)
+  qinv : int array;        (* original column -> elimination step *)
   lnnz : int;
   unnz : int;
+  full : steps;            (* every step: the full solve *)
+}
+
+(* The pivot steps one right-hand side is substituted over: forward
+   steps ascending, backward steps descending. *)
+and steps = {
+  fwd : int array;
+  bwd : int array;
 }
 
 type totals = {
@@ -65,6 +83,9 @@ let batch_max_counter = Obs.Counter.make "kernel.batch_max"
    multiply-adds one refactorisation performs along the schedule. *)
 let lu_nnz_gauge = Obs.Gauge.make "kernel.lu_nnz"
 let lu_madds_gauge = Obs.Gauge.make "kernel.lu_madds"
+
+(* Substitution multiply-adds per point of the last sweep's selection. *)
+let solve_madds_gauge = Obs.Gauge.make "kernel.solve_madds"
 
 let totals () =
   { compiles = Obs.Counter.value n_compiles;
@@ -116,14 +137,38 @@ let compile plan =
       madds := !madds + l_ptr.(u_col.(q) + 1) - l_ptr.(u_col.(q))
     done
   done;
+  (* U by rows: the steps whose column names pivot position p as a
+     dependency, i.e. the unknowns the backward solve for step p reads. *)
+  let ur_ptr = Array.make (n + 1) 0 in
+  for j = 0 to n - 1 do
+    for q = u_ptr.(j) to u_ptr.(j + 1) - 2 do
+      ur_ptr.(u_col.(q) + 1) <- ur_ptr.(u_col.(q) + 1) + 1
+    done
+  done;
+  for p = 0 to n - 1 do
+    ur_ptr.(p + 1) <- ur_ptr.(p + 1) + ur_ptr.(p)
+  done;
+  let ur_col = Array.make (ur_ptr.(n)) 0 in
+  let fill = Array.sub ur_ptr 0 n in
+  for j = 0 to n - 1 do
+    for q = u_ptr.(j) to u_ptr.(j + 1) - 2 do
+      let p = u_col.(q) in
+      ur_col.(fill.(p)) <- j;
+      fill.(p) <- fill.(p) + 1
+    done
+  done;
+  let colq = sch.Scmat.sched_q in
+  let qinv = Array.make n 0 in
+  Array.iteri (fun j c -> qinv.(c) <- j) colq;
   Obs.Counter.incr n_compiles;
   Obs.Gauge.set lu_nnz_gauge (float_of_int (lnnz + unnz));
   Obs.Gauge.set lu_madds_gauge (float_of_int !madds);
   let k =
-    { plan; n; colptr; rowidx; gvals; cvals; colq = sch.Scmat.sched_q;
-      rowperm;
+    { plan; n; colptr; rowidx; gvals; cvals; colq; rowperm;
       pinv = sch.Scmat.sched_pinv;
-      l_ptr; l_idx; u_ptr; u_col; u_row; lnnz; unnz }
+      l_ptr; l_idx; u_ptr; u_col; u_row; ur_ptr; ur_col; qinv; lnnz; unnz;
+      full =
+        { fwd = Array.init n Fun.id; bwd = Array.init n (fun a -> n - 1 - a) } }
   in
   Obs.Span.leave "kernel.compile"
     ~args:[ ("unknowns", n); ("lnnz", lnnz); ("unnz", unnz);
@@ -131,45 +176,146 @@ let compile plan =
     t0;
   k
 
-type workspace = {
-  k : t;
+(* ---- selections: what one sweep solves for ----
+
+   A probe sweep reads component [comp.(j)] of solution [j] only. Two
+   structural facts of the frozen schedule bound what that needs:
+
+   - Forward: step kc of the L solve reads y_kc and, when it is nonzero,
+     updates the rows of L column kc. Starting from the right-hand
+     side's nonzero rows, every step outside their reach in L meets an
+     exact zero and is skipped by the full solve anyway.
+   - Backward: the unknown of step kc reads the unknowns of the later
+     steps whose U columns hold a dependency on kc. Starting from the
+     step that solves for [comp.(j)], every step outside that reach
+     only writes rows the target never reads.
+
+   Running the substitution body over just those steps, in the same
+   order, therefore yields the very floats of the full solve at the
+   target. The selection is built once per sweep and shared read-only
+   by every chunk of it. *)
+
+type selection = {
+  sk : t;
   rhs : Complex.t array array;  (* original batch: fallback + health *)
-  m : int;
+  comp : int array;             (* component read from each solution *)
   rhs_re : float array array;   (* m x n unboxed right-hand-side planes *)
   rhs_im : float array array;
-  w_re : float array array;     (* forward/backward work planes *)
-  w_im : float array array;
-  s_re : float array array;     (* solution planes, natural indexing *)
-  s_im : float array array;
+  steps : steps array;          (* per right-hand side *)
+  at : int array;               (* work row holding x.(comp.(j)) *)
+}
+
+let steps_madds k st =
+  Array.fold_left (fun a kc -> a + k.l_ptr.(kc + 1) - k.l_ptr.(kc)) 0 st.fwd
+  + Array.fold_left (fun a kc -> a + k.u_ptr.(kc + 1) - k.u_ptr.(kc) - 1) 0
+      st.bwd
+
+let make_selection k ~rhs ~comp ~steps =
+  let n = k.n in
+  Array.iter
+    (fun b ->
+      if Array.length b <> n then invalid_arg "Kernel: rhs size")
+    rhs;
+  let m = Array.length rhs in
+  { sk = k; rhs; comp; steps;
+    rhs_re =
+      Array.init m (fun s -> Array.init n (fun i -> rhs.(s).(i).Cx.re));
+    rhs_im =
+      Array.init m (fun s -> Array.init n (fun i -> rhs.(s).(i).Cx.im));
+    at = Array.map (fun i -> k.rowperm.(k.qinv.(i))) comp }
+
+let select k ~rhs ~sel =
+  let n = k.n in
+  if Array.length sel <> Array.length rhs then
+    invalid_arg "Kernel.select: sel/rhs arity";
+  Array.iter
+    (fun i -> if i < 0 || i >= n then invalid_arg "Kernel.select: sel range")
+    sel;
+  (* Breadth-first reach over the steps, [buf] doubling as the queue
+     and the visited list; stamps spare clearing [mark] per search. *)
+  let mark = Array.make n (-1) and buf = Array.make n 0 in
+  let stamp = ref 0 in
+  let reach starts succ =
+    incr stamp;
+    let cnt = ref 0 in
+    let visit kc =
+      if mark.(kc) <> !stamp then begin
+        mark.(kc) <- !stamp;
+        buf.(!cnt) <- kc;
+        incr cnt
+      end
+    in
+    starts visit;
+    let i = ref 0 in
+    while !i < !cnt do
+      succ buf.(!i) visit;
+      incr i
+    done;
+    Array.sub buf 0 !cnt
+  in
+  let steps =
+    Array.mapi
+      (fun j b ->
+        let fwd =
+          reach
+            (fun visit ->
+              Array.iteri
+                (fun r z ->
+                  if not (z.Cx.re = 0. && z.Cx.im = 0.) then visit k.pinv.(r))
+                b)
+            (fun kc visit ->
+              for t = k.l_ptr.(kc) to k.l_ptr.(kc + 1) - 1 do
+                visit k.pinv.(k.l_idx.(t))
+              done)
+        in
+        let bwd =
+          reach
+            (fun visit -> visit k.qinv.(sel.(j)))
+            (fun kc visit ->
+              for t = k.ur_ptr.(kc) to k.ur_ptr.(kc + 1) - 1 do
+                visit k.ur_col.(t)
+              done)
+        in
+        Array.sort Int.compare fwd;
+        Array.sort (fun a b -> Int.compare b a) bwd;
+        { fwd; bwd })
+      rhs
+  in
+  let s = make_selection k ~rhs ~comp:sel ~steps in
+  Obs.Gauge.set solve_madds_gauge
+    (float_of_int (Array.fold_left (fun a st -> a + steps_madds k st) 0 steps));
+  s
+
+type workspace = {
+  k : t;
+  s : selection;
+  m : int;
+  w_re : float array array;     (* m x n work planes; step kc's unknown *)
+  w_im : float array array;     (*   lands in row rowperm.(kc) *)
   x_re : float array;           (* factor work vector, original rows *)
   x_im : float array;
   l_vre : float array;          (* factored L values along l_idx *)
   l_vim : float array;
   u_vre : float array;          (* factored U values along u_col *)
   u_vim : float array;
+  dinv_re : float array;        (* 1 / U diagonal, per step *)
+  dinv_im : float array;
   q : float array;              (* cdiv result cell, avoids tuple alloc *)
 }
 
-let workspace k ~rhs =
-  let m = Array.length rhs in
+let workspace s =
+  let k = s.sk in
+  let m = Array.length s.rhs in
   let n = k.n in
-  Array.iter
-    (fun b ->
-      if Array.length b <> n then invalid_arg "Kernel.workspace: rhs size")
-    rhs;
   let planes () = Array.init m (fun _ -> Array.make n 0.) in
-  { k; rhs; m;
-    rhs_re =
-      Array.init m (fun s -> Array.init n (fun i -> rhs.(s).(i).Cx.re));
-    rhs_im =
-      Array.init m (fun s -> Array.init n (fun i -> rhs.(s).(i).Cx.im));
+  { k; s; m;
     w_re = planes (); w_im = planes ();
-    s_re = planes (); s_im = planes ();
     x_re = Array.make n 0.; x_im = Array.make n 0.;
     l_vre = Array.make (Int.max 1 k.lnnz) 0.;
     l_vim = Array.make (Int.max 1 k.lnnz) 0.;
     u_vre = Array.make k.unnz 0.;
     u_vim = Array.make k.unnz 0.;
+    dinv_re = Array.make n 0.; dinv_im = Array.make n 0.;
     q = Array.make 2 0. }
 
 (* Smith's complex division, the exact float sequence of the stdlib
@@ -244,19 +390,41 @@ let factor ws ~omega =
       let pmag = Float.hypot pvre pvim in
       if pmag = 0. || not (Float.is_finite pmag) then raise_notrace Stale;
       let t0 = l_ptr.(j) and t1 = l_ptr.(j + 1) in
-      (* Stale-pivot test, identical to refactor ~pivot_tol. *)
-      let colmax = ref pmag in
+      (* Stale-pivot test, identical to refactor ~pivot_tol. A cheap
+         bound goes first: hypot(re, im) <= sqrt 2 max(|re|, |im|), so
+         1.5 max(|re|, |im|) over the column bounds the exact colmax
+         from above, and a pivot that clears the bound clears the exact
+         test too. Only columns it cannot clear (and those with an
+         infinite entry) pay the hypot scan; a NaN entry, which the
+         bound skips, makes the exact colmax NaN and so never stale. *)
+      let bound = ref 0. in
       for t = t0 to t1 - 1 do
         let r = Array.unsafe_get l_idx t in
-        colmax :=
-          Float.max !colmax
-            (Float.hypot (Array.unsafe_get x_re r) (Array.unsafe_get x_im r))
+        let a = Float.abs (Array.unsafe_get x_re r) in
+        if a > !bound then bound := a;
+        let a = Float.abs (Array.unsafe_get x_im r) in
+        if a > !bound then bound := a
       done;
-      if pmag < Ac_plan.pivot_tol *. !colmax then raise_notrace Stale;
+      if not (pmag >= Ac_plan.pivot_tol *. Float.max pmag (1.5 *. !bound))
+      then begin
+        let colmax = ref pmag in
+        for t = t0 to t1 - 1 do
+          let r = Array.unsafe_get l_idx t in
+          colmax :=
+            Float.max !colmax
+              (Float.hypot (Array.unsafe_get x_re r)
+                 (Array.unsafe_get x_im r))
+        done;
+        if pmag < Ac_plan.pivot_tol *. !colmax then raise_notrace Stale
+      end;
       Array.unsafe_set u_vre (u1 - 1) pvre;
       Array.unsafe_set u_vim (u1 - 1) pvim;
       cdiv ws 1. 0. pvre pvim;
       let ipvre = ws.q.(0) and ipvim = ws.q.(1) in
+      (* The same reciprocal the batched back-substitution multiplies
+         by: one Smith division of 1 by this diagonal. *)
+      Array.unsafe_set ws.dinv_re j ipvre;
+      Array.unsafe_set ws.dinv_im j ipvim;
       for t = t0 to t1 - 1 do
         let r = Array.unsafe_get l_idx t in
         let xre = Array.unsafe_get x_re r in
@@ -284,97 +452,101 @@ let factor ws ~omega =
     Array.fill x_im 0 n 0.;
     false
 
-(* Forward + backward substitution for the whole batch against the
-   factored planes. Mirrors [lu_solve_many] — including its single-RHS
-   delegation to [lu_solve], whose back-substitution divides by the
-   diagonal instead of multiplying by a precomputed reciprocal (not the
-   same float, and single-node sweeps go through that path). *)
-let solve_batch ws =
+(* The one substitution body: forward + backward substitution of the
+   right-hand side [b] over the steps [st] against the factored planes,
+   in the work planes [w]. The all-steps case is [lu_solve_many]'s
+   per-RHS arithmetic, and a selection's steps replay the same floats at
+   its target (see [select]). [recip] picks [lu_solve_many]'s batched
+   back-substitution, which multiplies by the diagonal's reciprocal;
+   without it the body is [lu_solve] (a batch of one delegates there),
+   which divides by the diagonal instead — not the same float, and
+   single-node sweeps go through that path. Each unknown overwrites its
+   own work row, which nothing reads afterwards; every row this solve
+   reads is reset from the right-hand side first, so rows left stale by
+   earlier points and other step sets never leak in. *)
+let subst_planes ws ~recip ~b_re ~b_im ~w_re ~w_im st =
   let k = ws.k in
-  let n = k.n and m = ws.m in
-  let rowperm = k.rowperm and colq = k.colq in
+  let rowperm = k.rowperm in
   let l_ptr = k.l_ptr and l_idx = k.l_idx in
   let u_ptr = k.u_ptr and u_row = k.u_row in
   let l_vre = ws.l_vre and l_vim = ws.l_vim in
   let u_vre = ws.u_vre and u_vim = ws.u_vim in
-  for s = 0 to m - 1 do
-    Array.blit ws.rhs_re.(s) 0 ws.w_re.(s) 0 n;
-    Array.blit ws.rhs_im.(s) 0 ws.w_im.(s) 0 n
-  done;
-  (* Forward: y in pivot order over the original-row-indexed work. *)
-  for kc = 0 to n - 1 do
-    let pr = Array.unsafe_get rowperm kc in
-    let t0 = Array.unsafe_get l_ptr kc in
-    let t1 = Array.unsafe_get l_ptr (kc + 1) in
-    for s = 0 to m - 1 do
-      let w_re = Array.unsafe_get ws.w_re s in
-      let w_im = Array.unsafe_get ws.w_im s in
-      let ykre = Array.unsafe_get w_re pr in
-      let ykim = Array.unsafe_get w_im pr in
-      if not (ykre = 0. && ykim = 0.) then
-        for t = t0 to t1 - 1 do
-          let r = Array.unsafe_get l_idx t in
-          let lre = Array.unsafe_get l_vre t in
-          let lim = Array.unsafe_get l_vim t in
-          Array.unsafe_set w_re r
-            (Array.unsafe_get w_re r -. ((lre *. ykre) -. (lim *. ykim)));
-          Array.unsafe_set w_im r
-            (Array.unsafe_get w_im r -. ((lre *. ykim) +. (lim *. ykre)))
-        done
+  let fwd = st.fwd and bwd = st.bwd in
+  let reset steps =
+    for a = 0 to Array.length steps - 1 do
+      let r = Array.unsafe_get rowperm (Array.unsafe_get steps a) in
+      Array.unsafe_set w_re r (Array.unsafe_get b_re r);
+      Array.unsafe_set w_im r (Array.unsafe_get b_im r)
     done
+  in
+  reset fwd;
+  reset bwd;
+  (* Forward: y in pivot order over the original-row-indexed work. *)
+  for a = 0 to Array.length fwd - 1 do
+    let kc = Array.unsafe_get fwd a in
+    let pr = Array.unsafe_get rowperm kc in
+    let ykre = Array.unsafe_get w_re pr in
+    let ykim = Array.unsafe_get w_im pr in
+    if not (ykre = 0. && ykim = 0.) then
+      for t = Array.unsafe_get l_ptr kc to Array.unsafe_get l_ptr (kc + 1) - 1
+      do
+        let r = Array.unsafe_get l_idx t in
+        let lre = Array.unsafe_get l_vre t in
+        let lim = Array.unsafe_get l_vim t in
+        Array.unsafe_set w_re r
+          (Array.unsafe_get w_re r -. ((lre *. ykre) -. (lim *. ykim)));
+        Array.unsafe_set w_im r
+          (Array.unsafe_get w_im r -. ((lre *. ykim) +. (lim *. ykre)))
+      done
   done;
   (* Backward on U (diagonal stored last, entries keyed by pivot
      position through u_row); step kc solves for unknown colq.(kc). *)
-  for kc = n - 1 downto 0 do
+  for a = 0 to Array.length bwd - 1 do
+    let kc = Array.unsafe_get bwd a in
     let u0 = Array.unsafe_get u_ptr kc in
     let u1 = Array.unsafe_get u_ptr (kc + 1) in
-    let dre = Array.unsafe_get u_vre (u1 - 1) in
-    let dim = Array.unsafe_get u_vim (u1 - 1) in
     let pr = Array.unsafe_get rowperm kc in
-    let xc = Array.unsafe_get colq kc in
-    if m > 1 then begin
-      (* One reciprocal per column amortised over the batch. *)
-      cdiv ws 1. 0. dre dim;
-      let idre = ws.q.(0) and idim = ws.q.(1) in
-      for s = 0 to m - 1 do
-        let w_re = Array.unsafe_get ws.w_re s in
-        let w_im = Array.unsafe_get ws.w_im s in
-        let wre = Array.unsafe_get w_re pr in
-        let wim = Array.unsafe_get w_im pr in
-        let xkre = (wre *. idre) -. (wim *. idim) in
-        let xkim = (wre *. idim) +. (wim *. idre) in
-        (Array.unsafe_get ws.s_re s).(xc) <- xkre;
-        (Array.unsafe_get ws.s_im s).(xc) <- xkim;
-        if not (xkre = 0. && xkim = 0.) then
-          for q = u0 to u1 - 2 do
-            let i = Array.unsafe_get u_row q in
-            let ure = Array.unsafe_get u_vre q in
-            let uim = Array.unsafe_get u_vim q in
-            Array.unsafe_set w_re i
-              (Array.unsafe_get w_re i -. ((ure *. xkre) -. (uim *. xkim)));
-            Array.unsafe_set w_im i
-              (Array.unsafe_get w_im i -. ((ure *. xkim) +. (uim *. xkre)))
-          done
+    let wre = Array.unsafe_get w_re pr in
+    let wim = Array.unsafe_get w_im pr in
+    if recip then begin
+      let idre = Array.unsafe_get ws.dinv_re kc in
+      let idim = Array.unsafe_get ws.dinv_im kc in
+      ws.q.(0) <- (wre *. idre) -. (wim *. idim);
+      ws.q.(1) <- (wre *. idim) +. (wim *. idre)
+    end
+    else
+      cdiv ws wre wim (Array.unsafe_get u_vre (u1 - 1))
+        (Array.unsafe_get u_vim (u1 - 1));
+    let xkre = ws.q.(0) and xkim = ws.q.(1) in
+    Array.unsafe_set w_re pr xkre;
+    Array.unsafe_set w_im pr xkim;
+    if not (xkre = 0. && xkim = 0.) then
+      for q = u0 to u1 - 2 do
+        let i = Array.unsafe_get u_row q in
+        let ure = Array.unsafe_get u_vre q in
+        let uim = Array.unsafe_get u_vim q in
+        Array.unsafe_set w_re i
+          (Array.unsafe_get w_re i -. ((ure *. xkre) -. (uim *. xkim)));
+        Array.unsafe_set w_im i
+          (Array.unsafe_get w_im i -. ((ure *. xkim) +. (uim *. xkre)))
       done
-    end
-    else if m = 1 then begin
-      let w_re = ws.w_re.(0) and w_im = ws.w_im.(0) in
-      cdiv ws (Array.unsafe_get w_re pr) (Array.unsafe_get w_im pr) dre dim;
-      let xkre = ws.q.(0) and xkim = ws.q.(1) in
-      ws.s_re.(0).(xc) <- xkre;
-      ws.s_im.(0).(xc) <- xkim;
-      if not (xkre = 0. && xkim = 0.) then
-        for q = u0 to u1 - 2 do
-          let i = Array.unsafe_get u_row q in
-          let ure = Array.unsafe_get u_vre q in
-          let uim = Array.unsafe_get u_vim q in
-          Array.unsafe_set w_re i
-            (Array.unsafe_get w_re i -. ((ure *. xkre) -. (uim *. xkim)));
-          Array.unsafe_set w_im i
-            (Array.unsafe_get w_im i -. ((ure *. xkim) +. (uim *. xkre)))
-        done
-    end
   done
+
+(* Right-hand side [j] of the workspace's selection, in its own work
+   planes; a batch wider than one takes the reciprocal form. *)
+let subst ws j st =
+  subst_planes ws ~recip:(ws.m > 1) ~b_re:ws.s.rhs_re.(j)
+    ~b_im:ws.s.rhs_im.(j) ~w_re:ws.w_re.(j) ~w_im:ws.w_im.(j) st
+
+(* The whole solution held in work planes after an all-steps
+   substitution, in natural order. *)
+let solution k w_re w_im =
+  let x = Array.make k.n Cx.zero in
+  for kc = 0 to k.n - 1 do
+    let r = k.rowperm.(kc) in
+    x.(k.colq.(kc)) <- Cx.make w_re.(r) w_im.(r)
+  done;
+  x
 
 let mag_inf v = Array.fold_left (fun acc z -> Float.max acc (Cx.mag z)) 0. v
 
@@ -389,37 +561,14 @@ let mag_inf v = Array.fold_left (fun acc z -> Float.max acc (Cx.mag z)) 0. v
    point in 16, that refactorisation and its boxed solves would cost as
    much as several kernel points. *)
 
-(* A x = b: forward on L in pivot order, backward on U. *)
+(* A x = b: [Scmat.lu_solve], the single-RHS substitution over all
+   steps in fresh planes. *)
 let solve1 ws b =
   let k = ws.k in
-  let n = k.n in
-  let wr = Array.map (fun z -> z.Cx.re) b
-  and wi = Array.map (fun z -> z.Cx.im) b in
-  for j = 0 to n - 1 do
-    let pr = k.rowperm.(j) in
-    let yr = wr.(pr) and yi = wi.(pr) in
-    if not (yr = 0. && yi = 0.) then
-      for t = k.l_ptr.(j) to k.l_ptr.(j + 1) - 1 do
-        let r = k.l_idx.(t) and lr = ws.l_vre.(t) and li = ws.l_vim.(t) in
-        wr.(r) <- wr.(r) -. ((lr *. yr) -. (li *. yi));
-        wi.(r) <- wi.(r) -. ((lr *. yi) +. (li *. yr))
-      done
-  done;
-  let x = Array.make n Cx.zero in
-  for j = n - 1 downto 0 do
-    let d = k.u_ptr.(j + 1) - 1 in
-    let pr = k.rowperm.(j) in
-    cdiv ws wr.(pr) wi.(pr) ws.u_vre.(d) ws.u_vim.(d);
-    let xr = ws.q.(0) and xi = ws.q.(1) in
-    x.(k.colq.(j)) <- Cx.make xr xi;
-    if not (xr = 0. && xi = 0.) then
-      for q = k.u_ptr.(j) to d - 1 do
-        let i = k.u_row.(q) and ur = ws.u_vre.(q) and ui = ws.u_vim.(q) in
-        wr.(i) <- wr.(i) -. ((ur *. xr) -. (ui *. xi));
-        wi.(i) <- wi.(i) -. ((ur *. xi) +. (ui *. xr))
-      done
-  done;
-  x
+  let w_re = Array.make k.n 0. and w_im = Array.make k.n 0. in
+  subst_planes ws ~recip:false ~b_re:(Array.map (fun z -> z.Cx.re) b)
+    ~b_im:(Array.map (fun z -> z.Cx.im) b) ~w_re ~w_im k.full;
+  solution k w_re w_im
 
 (* A^T x = b, Q^T A^T = U^T L^T P: forward on U^T reading b in column
    order, backward on L^T, un-permute the rows. *)
@@ -480,64 +629,69 @@ let point_health ?meter ws ~omega ~x ~b =
          ~x_inf:(mag_inf x) ~b_inf:(mag_inf b))
     ()
 
-(* One frequency point: flat factor + batched substitution, falling back
-   to fresh partial pivoting along the frozen column order
-   ([Scmat.repivot]) when the frozen pivots are stale here. Health is
-   sampled on the same [Health.tick] cadence as the dense oracle. *)
-let solve_point ?health ws ~omega =
+(* One frequency point: flat factor + selected substitutions, falling
+   back to fresh partial pivoting along the frozen column order
+   ([Scmat.repivot]) when the frozen pivots are stale here. A sampled
+   point solves its first right-hand side over every step and records
+   the health of that full solution, as the dense oracle does. *)
+let solve_point ?health ws ~omega ~sampled =
+  let s = ws.s in
+  let sampled = sampled && ws.m > 0 in
   if factor ws ~omega then begin
-    solve_batch ws;
-    if ws.m > 0 && Health.tick () then begin
-      let x =
-        Array.init ws.k.n (fun i -> Cx.make ws.s_re.(0).(i) ws.s_im.(0).(i))
-      in
-      point_health ?meter:health ws ~omega ~x ~b:ws.rhs.(0)
-    end;
+    for j = 0 to ws.m - 1 do
+      subst ws j (if sampled && j = 0 then ws.k.full else s.steps.(j))
+    done;
+    if sampled then
+      point_health ?meter:health ws ~omega
+        ~x:(solution ws.k ws.w_re.(0) ws.w_im.(0)) ~b:s.rhs.(0);
     `Flat
   end
   else begin
     Obs.Counter.incr n_fallback;
     let a = Ac_plan.matrix_at ws.k.plan ~omega in
     let f = Scmat.repivot (Ac_plan.symbolic ws.k.plan) a in
-    let xs = Scmat.lu_solve_many f ws.rhs in
-    if ws.m > 0 && Health.tick () then begin
+    let xs = Scmat.lu_solve_many f s.rhs in
+    if sampled then begin
       let rcond = Cond.rcond (Cond.sparse a f) in
       let growth = Scmat.pivot_growth a f in
       let residual =
         Health.relative_residual ~norm1:(Scmat.norm1 a)
-          ~residual_inf:(Scmat.residual_inf a xs.(0) ws.rhs.(0))
-          ~x_inf:(mag_inf xs.(0)) ~b_inf:(mag_inf ws.rhs.(0))
+          ~residual_inf:(Scmat.residual_inf a xs.(0) s.rhs.(0))
+          ~x_inf:(mag_inf xs.(0)) ~b_inf:(mag_inf s.rhs.(0))
       in
       Health.record ?meter:health ~rcond ~growth ~residual ()
     end;
     `Fallback xs
   end
 
-let run ?health ws ~freqs ~lo ~hi ~sel ~outs =
-  if Array.length sel <> ws.m || Array.length outs <> ws.m then
-    invalid_arg "Kernel.run: sel/outs arity";
+let run ?health ws ~freqs ~lo ~hi ~outs =
+  let s = ws.s in
+  if Array.length outs <> ws.m then invalid_arg "Kernel.run: outs arity";
   Obs.Counter.add n_points (hi - lo);
   Obs.Counter.record_max batch_max_counter (hi - lo);
   for fk = lo to hi - 1 do
     let omega = 2. *. Float.pi *. freqs.(fk) in
-    match solve_point ?health ws ~omega with
+    match solve_point ?health ws ~omega ~sampled:(Health.sampled fk) with
     | `Flat ->
-      for q = 0 to ws.m - 1 do
-        let i = sel.(q) in
-        outs.(q).(fk) <- Cx.make ws.s_re.(q).(i) ws.s_im.(q).(i)
+      for j = 0 to ws.m - 1 do
+        let r = s.at.(j) in
+        outs.(j).(fk) <- Cx.make ws.w_re.(j).(r) ws.w_im.(j).(r)
       done
     | `Fallback xs ->
-      for q = 0 to ws.m - 1 do
-        outs.(q).(fk) <- xs.(q).(sel.(q))
+      for j = 0 to ws.m - 1 do
+        outs.(j).(fk) <- xs.(j).(s.comp.(j))
       done
   done
 
-let solve_many ?health t ~omega bs =
-  let ws = workspace t ~rhs:bs in
+let solve_many ?health ?(point = 0) t ~omega bs =
+  let m = Array.length bs in
+  (* No component is picked: the caller reads whole solutions. *)
+  let ws =
+    workspace
+      (make_selection t ~rhs:bs ~comp:[||] ~steps:(Array.make m t.full))
+  in
   Obs.Counter.add n_points 1;
   Obs.Counter.record_max batch_max_counter 1;
-  match solve_point ?health ws ~omega with
-  | `Flat ->
-    Array.init ws.m (fun s ->
-        Array.init t.n (fun i -> Cx.make ws.s_re.(s).(i) ws.s_im.(s).(i)))
+  match solve_point ?health ws ~omega ~sampled:(Health.sampled point) with
+  | `Flat -> Array.init m (fun j -> solution t ws.w_re.(j) ws.w_im.(j))
   | `Fallback xs -> xs

@@ -7,7 +7,8 @@
     factor/solve program over unboxed float planes, and {!run} batches
     whole chunks of the sweep through one workspace. This is the only
     compiled solve path; the dense per-point LU stays beside it as the
-    oracle.
+    oracle. Per point it costs one refactorisation plus, for each right-
+    hand side, the substitution steps its {!selection} keeps.
 
     The kernel replays the exact float operation sequence of
     [Numerics.Scmat.refactor ~pivot_tol:Ac_plan.pivot_tol] on
@@ -36,29 +37,54 @@ val chunk : int
 (** Suggested frequency points per {!run} invocation: large enough to
     amortise workspace setup, small enough to load-balance. *)
 
-type workspace
-(** Mutable per-worker scratch: unboxed RHS/solution planes plus the
-    factor value arrays. Not thread-safe — one per concurrent chunk. *)
+type selection
+(** What one sweep solves for: a right-hand-side batch and, for each
+    right-hand side [j], the one component [sel.(j)] the sweep reads
+    (a probed net's own response, x_i of A x = e_i). For each [j] the
+    selection keeps the pivot steps that component depends on, taken
+    from the frozen schedule: the forward reach in L from the
+    right-hand side's nonzero rows (a step outside it only ever meets
+    exact zeros) and the backward reach in U from the step that solves
+    for [sel.(j)] (a step outside it only writes rows that unknown
+    never reads). The substitutions run over just those steps, in the
+    full solve's order, so every component read is bit for bit the
+    full solve's. *)
 
-val workspace : t -> rhs:Complex.t array array -> workspace
-(** Capture a right-hand-side batch (one column per probed node). The
-    batch is read, never written. *)
+val select :
+  t -> rhs:Complex.t array array -> sel:int array -> selection
+(** Build a sweep's selection once; pooled chunks share it read-only.
+    The batch is read, never written. Sets the gauge
+    [kernel.solve_madds] to the substitution multiply-adds one point
+    of this selection costs (the full solve of [m] right-hand sides
+    costs [m * (nnz(L+U) - n)]).
+    @raise Invalid_argument on an arity, size or [sel] range error. *)
+
+type workspace
+(** Mutable per-worker scratch: unboxed work planes plus the factor
+    value arrays. Not thread-safe — one per concurrent chunk. *)
+
+val workspace : selection -> workspace
 
 val run :
   ?health:Health.meter -> workspace -> freqs:float array -> lo:int ->
-  hi:int -> sel:int array -> outs:Complex.t array array -> unit
+  hi:int -> outs:Complex.t array array -> unit
 (** Advance sweep points [lo..hi-1]: for each frequency [freqs.(fk)]
-    factor once, solve the whole batch, and write component [sel.(q)] of
-    solution [q] to [outs.(q).(fk)]. Chunks over disjoint ranges write
-    disjoint cells, so parallel execution is bit-identical to
-    sequential. With [health], sampled points (see {!Health.tick})
-    record rcond/growth/residual like the dense oracle. *)
+    factor once, run each right-hand side's selected substitutions, and
+    write component [sel.(j)] of solution [j] to [outs.(j).(fk)].
+    Chunks over disjoint ranges write disjoint cells, so parallel
+    execution is bit-identical to sequential. With [health], a point
+    whose index [fk] is sampled (see {!Health.sampled}) solves its
+    first right-hand side over all steps and records that solution's
+    rcond/growth/residual like the dense oracle. *)
 
 val solve_many :
-  ?health:Health.meter -> t -> omega:float -> Complex.t array array ->
-  Complex.t array array
+  ?health:Health.meter -> ?point:int -> t -> omega:float ->
+  Complex.t array array -> Complex.t array array
 (** Full solutions at one frequency (the {!Ac} sweep and the
-    equivalence tests); bit for bit the Scmat replay described above. *)
+    equivalence tests): the all-steps case of the same substitution
+    body, bit for bit the Scmat replay described above. [point] is the
+    frequency's index within its sweep (default 0), which decides
+    whether the point is health-sampled. *)
 
 type totals = {
   compiles : int;   (** kernel compilations (warm cache repeat: zero) *)

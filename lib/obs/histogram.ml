@@ -18,6 +18,7 @@ type t = {
   name : string;
   bins : int Atomic.t array;
   total : int Atomic.t;
+  min_cell : float Atomic.t;
   max_cell : float Atomic.t;
 }
 
@@ -48,6 +49,7 @@ let make name =
             name;
             bins = Array.init buckets (fun _ -> Atomic.make 0);
             total = Atomic.make 0;
+            min_cell = Atomic.make infinity;
             max_cell = Atomic.make neg_infinity;
           }
         in
@@ -59,16 +61,22 @@ let make name =
 
 let name h = h.name
 
+(* CAS loops like [Counter.record_max]; floats are boxed so
+   compare_and_set works on the exact value we read. A NaN compares
+   false both ways and so moves neither bound. *)
+let rec bump_max cell v =
+  let cur = Atomic.get cell in
+  if v > cur && not (Atomic.compare_and_set cell cur v) then bump_max cell v
+
+let rec bump_min cell v =
+  let cur = Atomic.get cell in
+  if v < cur && not (Atomic.compare_and_set cell cur v) then bump_min cell v
+
 let observe h v =
   Atomic.incr h.bins.(bucket_of v);
   Atomic.incr h.total;
-  (* CAS loop like [Counter.record_max]; floats are boxed so
-     compare_and_set works on the exact value we read. *)
-  let rec bump () =
-    let cur = Atomic.get h.max_cell in
-    if v > cur && not (Atomic.compare_and_set h.max_cell cur v) then bump ()
-  in
-  bump ()
+  bump_min h.min_cell v;
+  bump_max h.max_cell v
 
 let count h = Atomic.get h.total
 
@@ -86,13 +94,8 @@ let merge ~into src =
       src.bins;
     let n = Atomic.get src.total in
     if n > 0 then ignore (Atomic.fetch_and_add into.total n);
-    let m = Atomic.get src.max_cell in
-    let rec bump () =
-      let cur = Atomic.get into.max_cell in
-      if m > cur && not (Atomic.compare_and_set into.max_cell cur m) then
-        bump ()
-    in
-    bump ()
+    bump_min into.min_cell (Atomic.get src.min_cell);
+    bump_max into.max_cell (Atomic.get src.max_cell)
   end
 
 let percentile_from bins total q =
@@ -111,18 +114,23 @@ let percentile_from bins total q =
 
 let summary h =
   (* Counts are monotone, so a racing [observe] can at worst make the
-     snapshot one sample short — fine for a diagnostic readout. *)
+     snapshot one sample short — fine for a diagnostic readout. A
+     bucket's representative value can lie outside the samples that
+     fell in it (a bucket of ones reads 1.8), so quantiles are clamped
+     into the exact [min, max]: a quantile never exceeds the max. *)
   let bins = Array.map Atomic.get h.bins in
   let total = Array.fold_left ( + ) 0 bins in
   if total = 0 then { count = 0; p50 = 0.; p90 = 0.; p99 = 0.; max = 0. }
   else
-    {
-      count = total;
-      p50 = percentile_from bins total 0.50;
-      p90 = percentile_from bins total 0.90;
-      p99 = percentile_from bins total 0.99;
-      max = (let m = Atomic.get h.max_cell in if m = neg_infinity then 0. else m);
-    }
+    (* Only NaN samples leave the max at its neg_infinity seed: read 0
+       then, as before, and keep lo <= hi. *)
+    let hi =
+      let m = Atomic.get h.max_cell in
+      if m = neg_infinity then 0. else m
+    in
+    let lo = Float.min (Atomic.get h.min_cell) hi in
+    let q p = Float.min hi (Float.max lo (percentile_from bins total p)) in
+    { count = total; p50 = q 0.50; p90 = q 0.90; p99 = q 0.99; max = hi }
 
 let find name =
   Mutex.lock registry_mutex;
@@ -146,6 +154,7 @@ let reset () =
     (fun _ h ->
       Array.iter (fun b -> Atomic.set b 0) h.bins;
       Atomic.set h.total 0;
+      Atomic.set h.min_cell infinity;
       Atomic.set h.max_cell neg_infinity)
     registry;
   Mutex.unlock registry_mutex

@@ -4,8 +4,10 @@
     to 1e8) shared by every histogram; recording is one atomic increment
     per sample with no allocation, safe from any domain. Percentiles are
     read out as the geometric midpoint of the bucket that crosses the
-    requested rank, so they carry about half a decade of quantisation —
-    plenty for health triage, not for timing micro-benchmarks.
+    requested rank, clamped into the exact [min, max] of the samples:
+    they carry about half a decade of quantisation but never leave the
+    observed range — plenty for health triage, not for timing
+    micro-benchmarks.
 
     Like {!Counter}, histograms live in a process-global registry keyed
     by name so independent subsystems can share one instance. *)
@@ -33,12 +35,15 @@ val count : t -> int
 
 val merge : into:t -> t -> unit
 (** [merge ~into src] adds every sample of [src] into [into] (bin-wise:
-    the shared bucket layout makes the merge exact, max included).
+    the shared bucket layout makes the merge exact, min and max
+    included).
     [src] is unchanged; merging a histogram into itself is a no-op.
     Safe under concurrent [observe]s on either histogram. *)
 
 val summary : t -> summary
-(** Percentile readout from the current bins. All-zero when empty. *)
+(** Percentile readout from the current bins, each quantile clamped
+    into the exact [min, max] observed, so p50 <= p90 <= p99 <= max.
+    All-zero when empty. *)
 
 val find : string -> t option
 

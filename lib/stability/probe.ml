@@ -130,18 +130,22 @@ let response_many ?(gmin = 1e-12) ?(backend = `Auto) ?(parallel = `Auto)
         (on wide batches each one is a large major-heap block). Neither
         chunk boundaries nor workspace reuse enter the arithmetic. *)
      let cp = Engine.Kernel.chunk in
+     (* Each net's response is one component of its solution: the
+        selection (built once, shared read-only by every chunk) limits
+        each substitution to the pivot steps that component sees. *)
+     let selection = Engine.Kernel.select kern ~rhs:bs ~sel in
      let seq_ws =
-       if go_parallel then None else Some (Engine.Kernel.workspace kern ~rhs:bs)
+       if go_parallel then None else Some (Engine.Kernel.workspace selection)
      in
      run_all ((npts + cp - 1) / cp) (fun ck ->
          let lo = ck * cp in
          let ws =
            match seq_ws with
            | Some ws -> ws
-           | None -> Engine.Kernel.workspace kern ~rhs:bs
+           | None -> Engine.Kernel.workspace selection
          in
          Engine.Kernel.run ?health ws ~freqs ~lo ~hi:(Int.min npts (lo + cp))
-           ~sel ~outs)
+           ~outs)
    | None ->
      (* The dense oracle: stamp, factor and solve every point afresh. *)
      run_all npts (fun fk ->
@@ -151,7 +155,7 @@ let response_many ?(gmin = 1e-12) ?(backend = `Auto) ?(parallel = `Auto)
          Array.iteri
            (fun q i -> outs.(q).(fk) <- (Cmat.lu_solve lu bs.(q)).(i))
            sel;
-         if Engine.Health.tick () && Array.length bs > 0 then
+         if Engine.Health.sampled fk && Array.length bs > 0 then
            Engine.Ac.dense_health ?meter:health a lu
              ~x:(Cmat.lu_solve lu bs.(0)) ~b:bs.(0)));
   Obs.Span.leave "probe.sweep"

@@ -65,7 +65,8 @@ val response_many :
     [`Auto] (the default, at every circuit size) runs the sweep through
     one compiled {!Engine.Kernel}: one symbolic analysis per sweep, then
     per frequency point one flattened, allocation-free refactorisation
-    and all probed nets solved as one multi-RHS batch, advanced in
+    and, for each probed net, a substitution limited to the pivot steps
+    its own response depends on ({!Engine.Kernel.select}), advanced in
     chunks of {!Engine.Kernel.chunk} points per kernel invocation.
     Passing [kernel] skips both compilations; passing [plan] (see
     {!val:plan}) skips the symbolic analysis. [`Dense] ignores both and

@@ -539,6 +539,11 @@ let claim_socket socket =
 
 let serve ?(capacity = Cache.default_capacity) ?log ?slow_ms
     ?(tick_s = 1.0) ~socket () =
+  (* A client that hangs up before its answer is written must not take
+     the daemon down: with SIGPIPE ignored the write fails with EPIPE
+     instead, and that connection is closed like any other. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
   claim_socket socket;
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listen_fd (Unix.ADDR_UNIX socket);
@@ -633,8 +638,12 @@ let serve ?(capacity = Cache.default_capacity) ?log ?slow_ms
          let stop = ref false in
          List.iter
            (fun (c, response, verdict) ->
-             (try write_all c.fd (Json.to_string response ^ "\n")
-              with Unix.Unix_error _ -> close_conn c);
+             (* A failed write (EPIPE, ECONNRESET: the peer is gone)
+                closes the connection; its remaining answers are
+                dropped. *)
+             if List.exists (fun c' -> c'.fd == c.fd) !conns then
+               (try write_all c.fd (Json.to_string response ^ "\n")
+                with Unix.Unix_error _ -> close_conn c);
              if verdict = `Stop then stop := true)
            responses;
          (* With --slow-ms on (and no client-driven capture running)

@@ -5,7 +5,9 @@
    cache with byte-identical results and zero extra DC solves / zero
    extra symbolic analyses / zero extra kernel compiles (asserted from
    the Obs counters via the protocol's own `counters` command), four
-   concurrent in-flight requests on four connections, the removed
+   concurrent in-flight requests on four connections, clients that hang
+   up before their answer (the daemon survives and still answers a
+   ping), a fresh re-analysis graded as the first one, the removed
    backend names refused with a structured error, and a clean shutdown
    that removes the socket file. *)
 
@@ -151,6 +153,49 @@ let () =
   let dc2 = counter c "dcop.solves" in
   if dc2 <> dc1 then
     fail "concurrent requests re-solved DC (%d -> %d)" dc1 dc2;
+
+  (* Clients that hang up before their answer: three connections each
+     send an analyze of the amplifier array and close at once. Writing
+     their answers fails with EPIPE, which must only drop those
+     connections: the daemon (running in this very process, so SIGPIPE
+     would end the test too) keeps answering. *)
+  let amp_text =
+    Circuit.Netlist.to_spice (Workloads.Synth.amp_array ~stages:4 ())
+  in
+  List.iter
+    (fun k ->
+      let cl = Tool.Server.Client.connect sock in
+      Tool.Server.Client.send cl
+        (Tool.Json.Obj
+           [ ("cmd", Tool.Json.Str "analyze");
+             ("mode", Tool.Json.Str "all-nodes");
+             ("nodes", Tool.Json.Str "auto");
+             ("deck_text", Tool.Json.Str amp_text);
+             ("name", Tool.Json.Str (Printf.sprintf "amp_array_4_%d.sp" k)) ]);
+      Tool.Server.Client.close cl)
+    [ 1; 2; 3 ];
+  expect_ok
+    (Tool.Server.Client.request c
+       (Tool.Json.Obj [ ("cmd", Tool.Json.Str "ping") ]));
+
+  (* Health sampling depends on each sweep alone, so the ladder
+     analysed again from scratch (a deck text differing by a trailing
+     comment, so a cache miss) after those unrelated requests gets the
+     same grades, and the same node entries, as the cold request. *)
+  let rerun =
+    Tool.Server.Client.request c
+      (Tool.Json.Obj
+         [ ("cmd", Tool.Json.Str "analyze");
+           ("mode", Tool.Json.Str "all-nodes");
+           ("deck_text", Tool.Json.Str (deck_text ^ "* rerun\n"));
+           ("name", Tool.Json.Str "rc_ladder_20.sp") ])
+  in
+  expect_ok rerun;
+  expect_cache "miss" rerun;
+  if Tool.Json.to_string (mem "nodes" rerun)
+     <> Tool.Json.to_string (mem "nodes" cold)
+  then
+    fail "re-analysis after unrelated requests graded the ladder differently";
 
   (* Static loops report over the wire: a cold miss builds the graph,
      a warm repeat is a hit with zero rebuilds (cache.sfg family). *)
@@ -324,7 +369,8 @@ let () =
   print_endline
     "serve-smoke: OK (cold miss with 1 kernel compile, warm hit \
      byte-identical with 0 DC re-solves, 0 symbolic re-analyses and 0 \
-     kernel recompiles, 4 concurrent in-flight requests, loops cold/warm \
+     kernel recompiles, 4 concurrent in-flight requests, 3 early \
+     hang-ups survived, same grades on a fresh re-analysis, loops cold/warm \
      with 0 graph rebuilds, nodes=auto cover run, removed backend names \
      refused with the daemon still answering, per-family cache stats, \
      live-socket refusal, stale-socket recovery, clean shutdown)"

@@ -286,6 +286,59 @@ let test_histogram_merge () =
     (Obs.Histogram.summary a).Obs.Histogram.count;
   Obs.Histogram.reset ()
 
+(* A bucket's representative value can sit outside the samples in it:
+   a histogram of ones used to read p50 1.8 against max 1, and one of
+   zeros p50 1.8e-24 against max 0. Quantiles are clamped into the
+   exact [min, max]. *)
+let test_histogram_quantiles_clamped () =
+  Obs.Histogram.reset ();
+  let ones = Obs.Histogram.make "test.clamp.ones" in
+  for _ = 1 to 20 do
+    Obs.Histogram.observe ones 1.
+  done;
+  let s = Obs.Histogram.summary ones in
+  Alcotest.(check (float 0.)) "ones: p50 = 1" 1. s.Obs.Histogram.p50;
+  Alcotest.(check (float 0.)) "ones: p99 = 1" 1. s.Obs.Histogram.p99;
+  let zeros = Obs.Histogram.make "test.clamp.zeros" in
+  Obs.Histogram.observe zeros 0.;
+  let s = Obs.Histogram.summary zeros in
+  Alcotest.(check (float 0.)) "zeros: p50 = 0" 0. s.Obs.Histogram.p50;
+  Alcotest.(check (float 0.)) "zeros: max = 0" 0. s.Obs.Histogram.max;
+  Obs.Histogram.reset ()
+
+(* Property: for any samples (zeros, negatives and extreme magnitudes
+   included), min <= p50 <= p90 <= p99 <= max, the max is the exact
+   maximum, and a merge keeps the order too. *)
+let prop_histogram_quantiles_ordered =
+  let sample =
+    QCheck.(
+      oneof
+        [ float_range (-1.) 1.;
+          map (fun e -> Float.pow 10. e) (float_range (-30.) 12.);
+          oneofl [ 0.; 1.; -0.; 1e-24; 1e8 ] ])
+  in
+  QCheck.Test.make ~name:"p50 <= p90 <= p99 <= max" ~count:300
+    QCheck.(pair (list_of_size Gen.(1 -- 60) sample)
+              (list_of_size Gen.(0 -- 20) sample))
+    (fun (xs, ys) ->
+      Obs.Histogram.reset ();
+      let h = Obs.Histogram.make "test.prop.a" in
+      let g = Obs.Histogram.make "test.prop.b" in
+      List.iter (Obs.Histogram.observe h) xs;
+      List.iter (Obs.Histogram.observe g) ys;
+      let ordered vs s =
+        let lo = List.fold_left Float.min infinity vs in
+        let hi = List.fold_left Float.max neg_infinity vs in
+        let open Obs.Histogram in
+        lo <= s.p50 && s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max
+        && s.max = hi
+      in
+      let ok_a = ordered xs (Obs.Histogram.summary h) in
+      Obs.Histogram.merge ~into:h g;
+      let ok_merged = ordered (xs @ ys) (Obs.Histogram.summary h) in
+      Obs.Histogram.reset ();
+      ok_a && ok_merged)
+
 let test_histogram_snapshot_under_add () =
   (* summary/snapshot taken while another domain observes must stay
      internally consistent (count never exceeds what was published,
@@ -669,7 +722,10 @@ let () =
            test_histogram_parallel;
          Alcotest.test_case "merge" `Quick test_histogram_merge;
          Alcotest.test_case "snapshot under concurrent add" `Quick
-           test_histogram_snapshot_under_add ]);
+           test_histogram_snapshot_under_add;
+         Alcotest.test_case "quantiles clamped to [min, max]" `Quick
+           test_histogram_quantiles_clamped;
+         QCheck_alcotest.to_alcotest prop_histogram_quantiles_ordered ]);
       ("prometheus",
        [ Alcotest.test_case "golden exposition" `Quick
            test_prometheus_golden;

@@ -666,9 +666,13 @@ let unit_rhs size k =
   b
 
 (* The Scmat replay of a whole probe sweep, on the plan the probe layer
-   compiles for it. *)
-let replay_sweep probe ~sweep nodes =
-  let plan = Stability.Probe.plan probe ~sweep in
+   compiles for it (or on [plan]): full solves, one component read. *)
+let replay_sweep ?plan probe ~sweep nodes =
+  let plan =
+    match plan with
+    | Some p -> p
+    | None -> Stability.Probe.plan probe ~sweep
+  in
   let mna = probe.Stability.Probe.mna in
   let idx = List.map (Engine.Mna.node_index mna) nodes in
   let bs =
@@ -806,21 +810,21 @@ let test_kernel_health_matches_scmat () =
    is eliminated while row y is still free, and at 1e-3 rad/s the
    capacitor's 1e-3 sits against the 1e4 gm entry of row y, far under
    the relative pivot floor. *)
+let stale_pivot_deck () =
+  Circuit.Parser.parse_string
+    "* stale frozen pivot\n\
+     V1 in 0 AC 1\n\
+     R1 in x 1k\n\
+     C1 x 0 1\n\
+     G1 y 0 x 0 1e4\n\
+     R2 y z 1k\n\
+     R3 z w 1k\n\
+     R4 w y 1k\n\
+     C2 z 0 1n\n\
+     C3 w 0 1n\n"
+
 let test_kernel_bits_stale_pivot () =
-  let circ =
-    Circuit.Parser.parse_string
-      "* stale frozen pivot\n\
-       V1 in 0 AC 1\n\
-       R1 in x 1k\n\
-       C1 x 0 1\n\
-       G1 y 0 x 0 1e4\n\
-       R2 y z 1k\n\
-       R3 z w 1k\n\
-       R4 w y 1k\n\
-       C2 z 0 1n\n\
-       C3 w 0 1n\n"
-  in
-  let probe = Stability.Probe.prepare circ in
+  let probe = Stability.Probe.prepare (stale_pivot_deck ()) in
   let plan =
     Stability.Probe.plan probe ~sweep:(Numerics.Sweep.decade 1e3 1e9 5)
   in
@@ -848,6 +852,75 @@ let test_kernel_bits_stale_pivot () =
          && same (scmat_replay plan ~omega [| bs.(0) |]) x1))
     [ 1e-3; 1e-4 ]
 
+(* The stale-pivot fallback under a selection: a probe sweep through
+   the two stale frequencies re-pivots there (one fallback per point)
+   and still reads each net's component of the full Scmat solve, for
+   one net and for every net. *)
+let test_selected_solve_stale_pivot () =
+  let circ = stale_pivot_deck () in
+  let probe = Stability.Probe.prepare circ in
+  let plan =
+    Stability.Probe.plan probe ~sweep:(Numerics.Sweep.decade 1e3 1e9 5)
+  in
+  let kernel = Engine.Kernel.compile plan in
+  let hz omega = omega /. (2. *. Float.pi) in
+  let sweep = Numerics.Sweep.List [| hz 1e-4; hz 1e-3; 1e3; 1e6 |] in
+  List.iter
+    (fun (label, nodes) ->
+      let before = (Engine.Kernel.totals ()).Engine.Kernel.fallback in
+      let got = Stability.Probe.response_many ~kernel probe ~sweep nodes in
+      Alcotest.(check int) (label ^ ": re-pivots at the two stale points") 2
+        ((Engine.Kernel.totals ()).Engine.Kernel.fallback - before);
+      check_waves_bit_identical label
+        (replay_sweep ~plan probe ~sweep nodes)
+        got)
+    [ ("one net", [ "x" ]); ("all nets", Circuit.Netlist.node_names circ) ]
+
+let waves_bit_identical a b =
+  List.for_all2
+    (fun (n1, (w1 : Numerics.Waveform.Freq.t))
+         (n2, (w2 : Numerics.Waveform.Freq.t)) ->
+      n1 = n2
+      && Array.for_all2
+           (fun x y -> complex_bits x = complex_bits y)
+           w1.Numerics.Waveform.Freq.h w2.Numerics.Waveform.Freq.h)
+    a b
+
+(* Property: over the synthetic generator family, for random subsets
+   of the nets (a single net, the m = 1 division branch, about half the
+   time), each probed net's response from the selected substitutions is
+   bit for bit its component of the full Scmat replay. *)
+let prop_selected_solve_synth =
+  QCheck.Test.make ~name:"synth circuits: selected solve = Scmat replay"
+    ~count:12
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let pick n = Random.State.int rng n in
+      let circ =
+        match seed mod 3 with
+        | 0 ->
+          Workloads.Synth.rc_mesh ~rows:(2 + pick 4) ~cols:(2 + pick 4) ()
+        | 1 ->
+          Workloads.Synth.rc_tree ~depth:(2 + pick 2) ~fanout:(2 + pick 2) ()
+        | _ -> Workloads.Synth.amp_array ~stages:(1 + pick 4) ()
+      in
+      let nets = Array.of_list (Circuit.Netlist.node_names circ) in
+      let len = Array.length nets in
+      for i = len - 1 downto 1 do
+        let j = pick (i + 1) in
+        let t = nets.(i) in
+        nets.(i) <- nets.(j);
+        nets.(j) <- t
+      done;
+      let m = if Random.State.bool rng then 1 else 1 + pick len in
+      let nodes = Array.to_list (Array.sub nets 0 m) in
+      let probe = Stability.Probe.prepare circ in
+      let sweep = Numerics.Sweep.decade 1e2 1e8 3 in
+      waves_bit_identical
+        (replay_sweep probe ~sweep nodes)
+        (Stability.Probe.response_many probe ~sweep nodes))
+
 (* Chunked pooled execution writes disjoint cells and never enters the
    arithmetic, so parallel kernel sweeps are bit-identical to
    sequential — on real worker domains, not an inlined pool. *)
@@ -872,6 +945,53 @@ let test_kernel_seq_par_identical () =
         Stability.Probe.response_many ~parallel:`Par probe ~sweep nodes
       in
       check_waves_bit_identical "kernel seq vs par" seq par)
+
+(* Health sampling follows each point's index within its sweep, so a
+   sweep records the same histograms and meter values whatever ran
+   before it (here an unrelated 7-point sweep) and however the pool
+   dealt its chunks (three oversubscribed workers). *)
+let test_health_sampling_deterministic () =
+  let saved = Parallel.Pool.jobs () in
+  Parallel.Pool.set_oversubscribe true;
+  Parallel.Pool.set_jobs 3;
+  Fun.protect
+    ~finally:(fun () ->
+      Parallel.Pool.set_jobs saved;
+      Parallel.Pool.set_oversubscribe false;
+      Parallel.Pool.shutdown ();
+      Obs.Histogram.reset ())
+    (fun () ->
+      let probe = Stability.Probe.prepare (Workloads.Opamp_2mhz.buffer ()) in
+      let sweep = Numerics.Sweep.decade 1e3 1e9 40 in
+      let nodes = [ "out"; "o1"; "vcasc" ] in
+      let run parallel =
+        Obs.Histogram.reset ();
+        let m = Engine.Health.meter () in
+        ignore
+          (Stability.Probe.response_many ~parallel ~health:m probe ~sweep
+             nodes);
+        let hists =
+          List.filter
+            (fun (name, _) ->
+              List.mem name
+                [ "health.rcond"; "health.pivot_growth"; "health.residual" ])
+            (Obs.Histogram.snapshot ())
+        in
+        ( hists,
+          Engine.Health.worst_rcond m,
+          Engine.Health.worst_residual m,
+          Engine.Health.samples m )
+      in
+      let seq = run `Seq in
+      ignore
+        (Stability.Probe.response_many ~parallel:`Seq probe
+           ~sweep:(Numerics.Sweep.decade 1e4 1e5 6) [ "out" ]);
+      let again = run `Seq in
+      let par = run `Par in
+      let _, _, _, samples = seq in
+      Alcotest.(check int) "every 16th of 241 points sampled" 16 samples;
+      Alcotest.(check bool) "same after an unrelated sweep" true (seq = again);
+      Alcotest.(check bool) "sequential = pooled" true (seq = par))
 
 (* The compile/point budget: one kernel compilation per sweep, every
    point advanced through the kernel, zero stale-pivot fallbacks on a
@@ -927,7 +1047,7 @@ let test_quality_good_on_healthy_deck () =
    while the source rows carry unit entries, so every factorisation is
    catastrophically ill-conditioned — the health meter must demote the
    node to [Suspect]. Sampling is forced to every point so the verdict
-   does not depend on the global tick phase left by other tests. *)
+   rests on every factorisation of the sweep. *)
 let test_quality_suspect_on_starved_deck () =
   let circ =
     Circuit.Parser.parse_string
@@ -1009,6 +1129,11 @@ let () =
          QCheck_alcotest.to_alcotest prop_kernel_bits_synth;
          Alcotest.test_case "stale pivots re-pivot, bit-identical" `Quick
            test_kernel_bits_stale_pivot;
+         QCheck_alcotest.to_alcotest prop_selected_solve_synth;
+         Alcotest.test_case "selected solve re-pivots, bit-identical" `Quick
+           test_selected_solve_stale_pivot;
+         Alcotest.test_case "health sampling: seq = par, history-free"
+           `Quick test_health_sampling_deterministic;
          Alcotest.test_case "parallel = sequential, bit for bit" `Quick
            test_kernel_seq_par_identical;
          Alcotest.test_case "sampled health = Scmat factor health" `Quick
